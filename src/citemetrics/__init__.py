@@ -10,10 +10,9 @@ from .aggregate import (CareerSummary, Group, SimConfig, TailFunction,
                         burrell_simulate, dynamic_h, glanzel_H, group_hc,
                         group_hp, lotkaian_h, successive_h, summaries_to_csv)
 from .coauthor import AuthoredVector, authored_vector, hi_index, pure_h, schreiber_hm
-from .core import (CoreIndexReport, a_index, core_report, f_index, g_index,
-                   h2_index, h_alpha_predict, h_core_cv, h_core_sum, h_index,
-                   hw_index, maxprod, r_index, rm_index, rmcv_index, t_index,
-                   w_index)
+from .core import (a_index, f_index, g_index, h2_index, h_alpha_predict,
+                   h_core_cv, h_core_sum, h_index, hw_index, maxprod, r_index,
+                   rm_index, rmcv_index, t_index, w_index)
 from .errors import (CitemetricsError, DegenerateCohortError, DomainError,
                      FidelityError, RecordParseError, RecordValidationError,
                      UndefinedInputError)

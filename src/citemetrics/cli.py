@@ -53,12 +53,15 @@ def _add_output_flags(parser, default_format="table"):
     parser.add_argument("--output", default=None, help="write here instead of stdout")
 
 
-def _config_from(args):
-    return IndexConfig(
-        now_year=args.now_year, gamma=args.gamma, delta=args.delta,
-        g_convention=args.g_convention,
-        self_citation_mode=args.self_citations.replace("-", "_"),
-        alpha_predictive=args.alpha, beta_molinari=args.beta)
+def _config_from(parser, args):
+    try:
+        return IndexConfig(
+            now_year=args.now_year, gamma=args.gamma, delta=args.delta,
+            g_convention=args.g_convention,
+            self_citation_mode=args.self_citations.replace("-", "_"),
+            alpha_predictive=args.alpha, beta_molinari=args.beta)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _emit(text, args):
@@ -92,7 +95,7 @@ def _indices_arg(parser, args):
 
 def cmd_compute(parser, args):
     record = parse_record(args.input)
-    config = _config_from(args)
+    config = _config_from(parser, args)
     indices = _indices_arg(parser, args)
     rep = report_mod.compute_report(record, config, indices, strict=args.strict)
     if args.format == "json":
@@ -113,7 +116,7 @@ def cmd_compare(parser, args):
     if len(args.inputs) < 2:
         parser.error("compare needs at least two --inputs")
     records = [parse_record(path) for path in args.inputs]
-    config = _config_from(args)
+    config = _config_from(parser, args)
     indices = _indices_arg(parser, args)
     reports = [report_mod.compute_report(r, config, indices, strict=args.strict)
                for r in records]
@@ -144,7 +147,7 @@ def cmd_compare(parser, args):
 
 def cmd_sequence(parser, args):
     record = parse_record(args.input)
-    seq = h_sequence(record, _config_from(args),
+    seq = h_sequence(record, _config_from(parser, args),
                      truncate_events_to_now=args.truncate_events)
     if args.format == "json":
         text = report_mod.render_json({
@@ -169,7 +172,7 @@ def cmd_sequence(parser, args):
 
 def cmd_matrix(parser, args):
     records = [parse_record(path) for path in args.inputs]
-    matrix = h_matrix(records, _config_from(args),
+    matrix = h_matrix(records, _config_from(parser, args),
                       truncate_events_to_now=args.truncate_events)
     width = len(matrix.rows[0]) if matrix.rows else 0
     if args.format == "json":

@@ -20,11 +20,12 @@ class AuthoredVector:
 
 
 def authored_vector(record, config=None):
-    """Build the (citations, authors) vector with the record-model tie rule.
-    Every publication must expose an author count of at least 1."""
-    mode = config.self_citation_mode if config is not None else "include"
-    filtered = filter_self_citations(record, mode)
-    ordered = sorted(filtered.publications,
+    """Build the (citations, authors) vector with the record-model tie rule,
+    filtering self-citations first when a config is given.  Every
+    publication must expose an author count of at least 1."""
+    if config is not None:
+        record = filter_self_citations(record, config.self_citation_mode)
+    ordered = sorted(record.publications,
                      key=lambda p: (-p.citations(), p.year, p.id))
     entries = []
     for pub in ordered:
@@ -79,11 +80,14 @@ def pure_h(av, scores=None):
 def schreiber_hm(av):
     """Fractional-rank variant: accumulate effective ranks 1/authors down the
     citation-descending list and return the largest effective rank that still
-    fits under its citation count."""
+    fits under its citation count.  Effective ranks rise and counts fall, so
+    the first miss ends the scan."""
     effective_rank = Fraction(0)
     best = Fraction(0)
     for count, n_authors in _entries(av):
         effective_rank += Fraction(1, n_authors)
         if effective_rank <= count:
-            best = effective_rank  # ranks grow, so the last hit is the largest
+            best = effective_rank
+        else:
+            break
     return float(best)

@@ -4,12 +4,17 @@ Every function accepts either a CitationVector or any iterable of
 non-negative citation counts; the input order never matters because the
 counts are re-sorted defensively.  All indices return 0 on empty vectors,
 and forms that divide by h are defined as 0 when h is 0.
+
+The threshold scans (h, h2, w, g, f, t, h_w) stop at their first failing
+rank.  That is exact: the tested quantity (a count, the top-k arithmetic,
+harmonic or geometric mean, or h_w's weighted rank against a falling count)
+never moves toward the threshold as the rank grows, nor the threshold
+toward it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
@@ -22,9 +27,10 @@ def _descending(v):
 
 
 def h_index(v):
-    """Largest rank h whose paper has at least h citations."""
+    """Largest rank h whose paper has at least h citations.  Real-valued
+    scores are compared unrounded, so an overflowed (infinite) score counts."""
     best = 0
-    for rank, count in enumerate(_descending(v), start=1):
+    for rank, count in enumerate(sorted(getattr(v, "counts", v), reverse=True), start=1):
         if count >= rank:
             best = rank
         else:
@@ -53,22 +59,25 @@ def g_index(v, convention="bounded"):
             running += counts[g - 1]
         if running >= g * g:
             best = g
+        else:
+            break
     return best
+
+
+def _h_core(v):
+    counts = _descending(v)
+    return counts[:h_index(counts)]
 
 
 def h_core_sum(v):
     """Total citations held by the h-core."""
-    counts = _descending(v)
-    return sum(counts[:h_index(counts)])
+    return sum(_h_core(v))
 
 
 def a_index(v):
     """Mean citations over the h-core."""
-    counts = _descending(v)
-    h = h_index(counts)
-    if h == 0:
-        return 0.0
-    return sum(counts[:h]) / h
+    core = _h_core(v)
+    return sum(core) / len(core) if core else 0.0
 
 
 def r_index(v):
@@ -90,6 +99,8 @@ def hw_index(v):
         running += count
         if running <= h * count:  # r_w(rank) = running/h <= count, exactly
             kept = running
+        else:
+            break
     return math.sqrt(kept)
 
 
@@ -135,6 +146,8 @@ def f_index(v):
         reciprocal_sum += Fraction(1, count)
         if Fraction(f) / reciprocal_sum >= f:
             best = f
+        else:
+            break
     return best
 
 
@@ -152,26 +165,23 @@ def t_index(v):
         product *= count
         if product >= t ** t:
             best = t
+        else:
+            break
     return best
 
 
 def rm_index(v):
     """Square root of the sum of square roots of the h-core citations."""
-    counts = _descending(v)
-    h = h_index(counts)
-    if h == 0:
-        return 0.0
-    return math.sqrt(sum(math.sqrt(c) for c in counts[:h]))
+    return math.sqrt(sum(math.sqrt(c) for c in _h_core(v)))
 
 
 def h_core_cv(v):
     """Coefficient of variation of the h-core citations, using the sample
     (h-1 divisor) standard deviation; 0 when h <= 1."""
-    counts = _descending(v)
-    h = h_index(counts)
+    core = _h_core(v)
+    h = len(core)
     if h <= 1:
         return 0.0
-    core = counts[:h]
     mean = sum(core) / h
     variance = sum((c - mean) ** 2 for c in core) / (h - 1)
     return math.sqrt(variance) / mean
@@ -191,42 +201,3 @@ def h_alpha_predict(h, n_c, alpha=-0.1):
             f"predictive radicand h^2 + alpha*N_c is negative ({radicand:g})")
     return math.sqrt(radicand)
 
-
-@dataclass(frozen=True)
-class CoreIndexReport:
-    h: int
-    g: int
-    a: float
-    r: float
-    h_w: float
-    h2: int
-    w: int
-    maxprod: int
-    f: int
-    t: int
-    r_m: float
-    h_core_cv: float
-    r_m_cv: float
-    h_alpha: float
-
-
-def core_report(v, g_convention="bounded", alpha_predictive=-0.1):
-    """All vector-only indices in one struct; N_c for the predictive index is
-    the vector total."""
-    counts = _descending(v)
-    return CoreIndexReport(
-        h=h_index(counts),
-        g=g_index(counts, g_convention),
-        a=a_index(counts),
-        r=r_index(counts),
-        h_w=hw_index(counts),
-        h2=h2_index(counts),
-        w=w_index(counts),
-        maxprod=maxprod(counts),
-        f=f_index(counts),
-        t=t_index(counts),
-        r_m=rm_index(counts),
-        h_core_cv=h_core_cv(counts),
-        r_m_cv=rmcv_index(counts),
-        h_alpha=h_alpha_predict(h_index(counts), sum(counts), alpha_predictive),
-    )

@@ -103,9 +103,9 @@ class IndexConfig:
             raise ValueError(f"unknown g_convention {self.g_convention!r}")
         if self.self_citation_mode not in SELF_CITATION_MODES:
             raise ValueError(f"unknown self_citation_mode {self.self_citation_mode!r}")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.delta < 0:
+        if not 0 < self.gamma < float("inf"):  # also rejects NaN
+            raise ValueError("gamma must be positive and finite")
+        if not self.delta >= 0:
             raise ValueError("delta must be non-negative")
 
 
@@ -126,6 +126,8 @@ def validate_record(record):
             f"record {record.entity!r}: unknown kind {record.kind!r}")
     seen = set()
     for pub in record.publications:
+        if not pub.id.strip():
+            raise RecordValidationError(f"publication id {pub.id!r} is blank")
         if pub.id in seen:
             raise RecordValidationError(f"duplicate publication id {pub.id!r}")
         seen.add(pub.id)
@@ -160,12 +162,9 @@ def resolve_now_year(record, config=None):
     anywhere in the record.  Returns None for a record with no years at all."""
     config = config or IndexConfig()
     pub_years = [p.year for p in record.publications]
-    all_years = list(pub_years)
-    for pub in record.publications:
-        if pub.citation_events:
-            all_years.extend(e.year for e in pub.citation_events)
     if config.now_year is None:
-        return max(all_years) if all_years else None
+        return max(pub_years + [e.year for p in record.publications
+                                for e in p.citation_events or ()], default=None)
     if pub_years and config.now_year < max(pub_years):
         raise DomainError(
             f"now_year {config.now_year} precedes publication year {max(pub_years)}")
@@ -216,10 +215,10 @@ def filter_self_citations(record, mode="include"):
 def citation_vector(record, config=None):
     """Descending citation counts with a fixed tie order (year asc, id asc)
     so reports are reproducible.  Self-citation filtering is applied first,
-    per the config."""
-    mode = config.self_citation_mode if config is not None else "include"
-    filtered = filter_self_citations(record, mode)
-    ordered = sorted(filtered.publications,
+    when a config is given."""
+    if config is not None:
+        record = filter_self_citations(record, config.self_citation_mode)
+    ordered = sorted(record.publications,
                      key=lambda p: (-p.citations(), p.year, p.id))
     return CitationVector(counts=tuple(p.citations() for p in ordered),
                           publication_ids=tuple(p.id for p in ordered))
@@ -268,13 +267,14 @@ def record_from_dict(data, source="<memory>"):
         if unknown:
             raise RecordParseError(f"{where}: unknown field {sorted(unknown)[0]!r}")
         _require(isinstance(raw.get("id"), str), f"{where}: field 'id' must be a string")
-        _require(isinstance(raw.get("year"), int), f"{where}: field 'year' must be an integer")
+        # type() is int, not isinstance(): JSON true/false are bools, an int subclass
+        _require(type(raw.get("year")) is int, f"{where}: field 'year' must be an integer")
         authors = raw.get("authors", [])
         _require(isinstance(authors, list) and all(isinstance(a, str) for a in authors),
                  f"{where}: field 'authors' must be a list of strings")
         for field in ("author_count", "citation_count"):
             value = raw.get(field)
-            _require(value is None or isinstance(value, int),
+            _require(value is None or type(value) is int,
                      f"{where}: field {field!r} must be an integer")
         events = None
         if "citation_events" in raw:
@@ -289,7 +289,7 @@ def record_from_dict(data, source="<memory>"):
                 if unknown:
                     raise RecordParseError(
                         f"{ewhere}: unknown field {sorted(unknown)[0]!r}")
-                _require(isinstance(raw_event.get("year"), int),
+                _require(type(raw_event.get("year")) is int,
                          f"{ewhere}: field 'year' must be an integer")
                 citing = raw_event.get("citing_authors", [])
                 _require(isinstance(citing, list) and all(isinstance(a, str) for a in citing),
@@ -420,12 +420,14 @@ def parse_record(path, format=None):
         if format is None:
             raise RecordParseError(
                 f"{path}: cannot infer format from suffix {suffix!r}; pass format=")
-    if format == "json":
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise RecordParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-        return record_from_dict(data, source=str(path))
-    if format == "csv":
-        return _parse_csv(path)
-    raise RecordParseError(f"{path}: unknown format {format!r}")
+    try:
+        if format == "csv":
+            return _parse_csv(path)
+        if format != "json":
+            raise RecordParseError(f"{path}: unknown format {format!r}")
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise RecordParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise RecordParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return record_from_dict(data, source=str(path))

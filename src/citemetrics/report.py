@@ -6,12 +6,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 from . import coauthor, core, temporal
 from .errors import DomainError, FidelityError, UndefinedInputError
-from .records import (IndexConfig, citation_vector, filter_self_citations,
-                      resolve_now_year, totals)
+from .records import (CitationRecord, IndexConfig, citation_vector,
+                      filter_self_citations, resolve_now_year)
 
 REPORT_INDEX_KEYS = (
     "h", "g", "a", "r", "h_w", "h2", "w", "maxprod", "f", "t",
@@ -25,37 +25,80 @@ _TWO_DECIMALS = {"r_m", "h_core_cv", "r_m_cv"}
 _UNAVAILABLE_ERRORS = (FidelityError, UndefinedInputError, DomainError)
 
 
-def _h_alpha(record, config):
-    filtered = filter_self_citations(record, config.self_citation_mode)
-    vector = citation_vector(filtered)
-    return core.h_alpha_predict(core.h_index(vector), totals(filtered)[1],
-                                config.alpha_predictive)
+@dataclass(frozen=True)
+class _PreparedRecord:
+    """The parts the report keys read, each built once per compute_report
+    call when a key first asks for it.  A part that fails for a documented
+    reason keeps its error and raises it again for every key that needs the
+    part, so each key reports what it would report on its own."""
+
+    record: CitationRecord
+    config: IndexConfig
+    parts: dict = field(default_factory=dict)
+
+    def part(self, name):
+        if name not in self.parts:
+            try:
+                self.parts[name] = _PART_BUILDERS[name](self)
+            except _UNAVAILABLE_ERRORS as exc:
+                self.parts[name] = exc
+        if isinstance(self.parts[name], _UNAVAILABLE_ERRORS):
+            raise self.parts[name]
+        return self.parts[name]
 
 
+_PART_BUILDERS = {
+    "filtered": lambda view: filter_self_citations(
+        view.record, view.config.self_citation_mode),
+    "vector": lambda view: citation_vector(view.part("filtered")),
+    "authored": lambda view: coauthor.authored_vector(view.part("filtered")),
+    "now_year": lambda view: resolve_now_year(view.part("filtered"), view.config),
+    "raw_now_year": lambda view: resolve_now_year(view.record, view.config),
+}
+
+
+def _h_norm_output(view):
+    n_p = len(temporal.require_publications(view.record))
+    return core.h_index(view.part("vector")) / n_p
+
+
+def _m_quotient(view):
+    first = min(p.year for p in temporal.require_publications(view.record))
+    career_years = view.part("raw_now_year") - first + 1
+    return core.h_index(view.part("vector")) / career_years
+
+
+# Each key reads the parts it needs in the order its stand-alone function
+# checks them, so the first error a key meets is the same.
 _COMPUTERS = {
-    "h": lambda rec, cfg: core.h_index(citation_vector(rec, cfg)),
-    "g": lambda rec, cfg: core.g_index(citation_vector(rec, cfg), cfg.g_convention),
-    "a": lambda rec, cfg: core.a_index(citation_vector(rec, cfg)),
-    "r": lambda rec, cfg: core.r_index(citation_vector(rec, cfg)),
-    "h_w": lambda rec, cfg: core.hw_index(citation_vector(rec, cfg)),
-    "h2": lambda rec, cfg: core.h2_index(citation_vector(rec, cfg)),
-    "w": lambda rec, cfg: core.w_index(citation_vector(rec, cfg)),
-    "maxprod": lambda rec, cfg: core.maxprod(citation_vector(rec, cfg)),
-    "f": lambda rec, cfg: core.f_index(citation_vector(rec, cfg)),
-    "t": lambda rec, cfg: core.t_index(citation_vector(rec, cfg)),
-    "r_m": lambda rec, cfg: core.rm_index(citation_vector(rec, cfg)),
-    "h_core_cv": lambda rec, cfg: core.h_core_cv(citation_vector(rec, cfg)),
-    "r_m_cv": lambda rec, cfg: core.rmcv_index(citation_vector(rec, cfg)),
-    "h_alpha": _h_alpha,
-    "h_contemporary": temporal.contemporary_h,
-    "h_trend": temporal.trend_h,
-    "h_norm_output": temporal.normalized_h_output,
-    "ar": temporal.ar_index,
-    "m_quotient": temporal.m_quotient,
-    "h_i_mean": lambda rec, cfg: coauthor.hi_index(coauthor.authored_vector(rec, cfg), "mean"),
-    "h_i_median": lambda rec, cfg: coauthor.hi_index(coauthor.authored_vector(rec, cfg), "median"),
-    "h_pure": lambda rec, cfg: coauthor.pure_h(coauthor.authored_vector(rec, cfg)),
-    "h_m_schreiber": lambda rec, cfg: coauthor.schreiber_hm(coauthor.authored_vector(rec, cfg)),
+    "h": lambda view: core.h_index(view.part("vector")),
+    "g": lambda view: core.g_index(view.part("vector"), view.config.g_convention),
+    "a": lambda view: core.a_index(view.part("vector")),
+    "r": lambda view: core.r_index(view.part("vector")),
+    "h_w": lambda view: core.hw_index(view.part("vector")),
+    "h2": lambda view: core.h2_index(view.part("vector")),
+    "w": lambda view: core.w_index(view.part("vector")),
+    "maxprod": lambda view: core.maxprod(view.part("vector")),
+    "f": lambda view: core.f_index(view.part("vector")),
+    "t": lambda view: core.t_index(view.part("vector")),
+    "r_m": lambda view: core.rm_index(view.part("vector")),
+    "h_core_cv": lambda view: core.h_core_cv(view.part("vector")),
+    "r_m_cv": lambda view: core.rmcv_index(view.part("vector")),
+    "h_alpha": lambda view: core.h_alpha_predict(
+        core.h_index(view.part("vector")), sum(view.part("vector").counts),
+        view.config.alpha_predictive),
+    "h_contemporary": lambda view: core.h_index(temporal.rank_contemporary(
+        view.part("filtered"), view.part("now_year"), view.config).scores),
+    "h_trend": lambda view: core.h_index(temporal.rank_trend(
+        view.part("filtered"), view.part("now_year"), view.config).scores),
+    "h_norm_output": _h_norm_output,
+    "ar": lambda view: temporal.age_weighted_core(
+        view.record, view.part("vector"), lambda: view.part("raw_now_year")),
+    "m_quotient": _m_quotient,
+    "h_i_mean": lambda view: coauthor.hi_index(view.part("authored"), "mean"),
+    "h_i_median": lambda view: coauthor.hi_index(view.part("authored"), "median"),
+    "h_pure": lambda view: coauthor.pure_h(view.part("authored")),
+    "h_m_schreiber": lambda view: coauthor.schreiber_hm(view.part("authored")),
 }
 
 
@@ -84,38 +127,32 @@ def select_indices(selection):
     return tuple(seen)
 
 
-def config_echo(record, config):
+def _config_echo(view):
     try:
-        now = resolve_now_year(record, config)
+        now = view.part("raw_now_year")
     except DomainError:
-        now = config.now_year
-    return {
-        "now_year": now,
-        "gamma": config.gamma,
-        "delta": config.delta,
-        "g_convention": config.g_convention,
-        "self_citation_mode": config.self_citation_mode,
-        "alpha_predictive": config.alpha_predictive,
-        "beta_molinari": config.beta_molinari,
-    }
+        now = view.config.now_year
+    return {**asdict(view.config), "now_year": now}
 
 
 def compute_report(record, config=None, indices=None, strict=False):
     """Compute the requested indices; data-fidelity and domain problems mark
-    the affected index unavailable (with the reason) unless strict."""
+    the affected index unavailable (with the reason) unless strict.  The
+    record is filtered, ranked and dated once for all the keys."""
     config = config if config is not None else IndexConfig()
     keys = select_indices(indices)
+    view = _PreparedRecord(record, config)
     values = {}
     unavailable = {}
     for key in keys:
         try:
-            values[key] = _COMPUTERS[key](record, config)
+            values[key] = _COMPUTERS[key](view)
         except _UNAVAILABLE_ERRORS as exc:
             if strict:
                 raise
             unavailable[key] = str(exc)
     return IndexReport(entity=record.entity, kind=record.kind,
-                       config=config_echo(record, config), keys=keys,
+                       config=_config_echo(view), keys=keys,
                        values=values, unavailable=unavailable)
 
 

@@ -46,16 +46,6 @@ def _config(config):
     return config if config is not None else IndexConfig()
 
 
-def _score_scan(scores):
-    best = 0
-    for rank, score in enumerate(scores, start=1):
-        if score >= rank:
-            best = rank
-        else:
-            break
-    return best
-
-
 def _age(now_year, year, what):
     age = now_year - year + 1
     if age <= 0:
@@ -63,68 +53,75 @@ def _age(now_year, year, what):
     return age
 
 
-def contemporary_scores(record, config=None):
-    config = _config(config)
-    filtered = filter_self_citations(record, config.self_citation_mode)
-    if not filtered.publications:
-        return ScoredVector((), ())
-    now = resolve_now_year(filtered, config)
-    scored = []
-    for pub in filtered.publications:
-        weight = config.gamma * _age(now, pub.year, "publication") ** (-config.delta)
-        scored.append((weight * pub.citations(), pub))
-    scored.sort(key=lambda item: (-item[0], item[1].year, item[1].id))
+def require_publications(record):
+    """The record's publications; UndefinedInputError when it has none."""
+    if not record.publications:
+        raise UndefinedInputError(f"record {record.entity!r} has no publications")
+    return record.publications
+
+
+def _ranked(publications, score):
+    scored = sorted(((score(pub), pub) for pub in publications),
+                    key=lambda item: (-item[0], item[1].year, item[1].id))
     return ScoredVector(scores=tuple(s for s, _ in scored),
                         publication_ids=tuple(p.id for _, p in scored))
 
 
+def rank_contemporary(filtered, now, config):
+    """Contemporary scores of an already filtered record, ages counted to now."""
+    return _ranked(filtered.publications, lambda pub: (
+        config.gamma * _age(now, pub.year, "publication") ** (-config.delta)
+        * pub.citations()))
+
+
+def rank_trend(filtered, now, config):
+    """Trend scores of an already filtered record, ages counted to now."""
+    def score(pub):
+        if not pub.has_events:
+            raise FidelityError(
+                f"publication {pub.id!r} has no citation events; "
+                "trend scoring needs event-level data")
+        return config.gamma * sum(
+            _age(now, e.year, "citation event") ** (-config.delta)
+            for e in pub.citation_events)
+    return _ranked(filtered.publications, score)
+
+
+def contemporary_scores(record, config=None):
+    config = _config(config)
+    filtered = filter_self_citations(record, config.self_citation_mode)
+    return rank_contemporary(filtered, resolve_now_year(filtered, config), config)
+
+
 def contemporary_h(record, config=None):
     """h-style scan over per-publication scores gamma * age**(-delta) * citations."""
-    return _score_scan(contemporary_scores(record, config).scores)
+    return h_index(contemporary_scores(record, config).scores)
 
 
 def trend_scores(record, config=None):
     config = _config(config)
     filtered = filter_self_citations(record, config.self_citation_mode)
-    if not filtered.publications:
-        return ScoredVector((), ())
-    now = resolve_now_year(filtered, config)
-    scored = []
-    for pub in filtered.publications:
-        if not pub.has_events:
-            raise FidelityError(
-                f"publication {pub.id!r} has no citation events; "
-                "trend scoring needs event-level data")
-        score = config.gamma * sum(
-            _age(now, e.year, "citation event") ** (-config.delta)
-            for e in pub.citation_events)
-        scored.append((score, pub))
-    scored.sort(key=lambda item: (-item[0], item[1].year, item[1].id))
-    return ScoredVector(scores=tuple(s for s, _ in scored),
-                        publication_ids=tuple(p.id for _, p in scored))
+    return rank_trend(filtered, resolve_now_year(filtered, config), config)
 
 
 def trend_h(record, config=None):
     """h-style scan over scores that sum a decayed weight per citation event."""
-    return _score_scan(trend_scores(record, config).scores)
+    return h_index(trend_scores(record, config).scores)
 
 
 def normalized_h_output(record, config=None):
     """h divided by the number of publications."""
-    n_p = len(record.publications)
-    if n_p == 0:
-        raise UndefinedInputError(f"record {record.entity!r} has no publications")
+    n_p = len(require_publications(record))
     return h_index(citation_vector(record, _config(config))) / n_p
 
 
-def ar_index(record, config=None):
-    """Age-weighted analogue of R: sqrt of the h-core sum of citations/age."""
-    config = _config(config)
-    vector = citation_vector(record, config)
+def age_weighted_core(record, vector, resolve_now):
+    """sqrt of the h-core sum of citations/age; resolve_now() gives the
+    observation year and is called only when h > 0."""
     h = h_index(vector)
     if h == 0:
         return 0.0
-    now = resolve_now_year(record, config)
+    now = resolve_now()
     year_of = {p.id: p.year for p in record.publications}
     total = sum(
         count / _age(now, year_of[pid], "publication")
@@ -132,13 +129,18 @@ def ar_index(record, config=None):
     return sqrt(total)
 
 
+def ar_index(record, config=None):
+    """Age-weighted analogue of R: sqrt of the h-core sum of citations/age."""
+    config = _config(config)
+    return age_weighted_core(record, citation_vector(record, config),
+                             lambda: resolve_now_year(record, config))
+
+
 def m_quotient(record, config=None):
     """h divided by the career length in years (first publication to now)."""
     config = _config(config)
-    if not record.publications:
-        raise UndefinedInputError(f"record {record.entity!r} has no publications")
-    now = resolve_now_year(record, config)
-    career_years = now - min(p.year for p in record.publications) + 1
+    first = min(p.year for p in require_publications(record))
+    career_years = resolve_now_year(record, config) - first + 1
     return h_index(citation_vector(record, config)) / career_years
 
 
@@ -158,8 +160,7 @@ def h_sequence(record, config=None, truncate_events_to_now=False):
     truncate_events_to_now only events dated up to now_year are counted
     (event-level data required)."""
     config = _config(config)
-    if not record.publications:
-        raise UndefinedInputError(f"record {record.entity!r} has no publications")
+    require_publications(record)
     filtered = filter_self_citations(record, config.self_citation_mode)
     cutoff = resolve_now_year(filtered, config) if truncate_events_to_now else None
     last = max(p.year for p in filtered.publications)

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import vector_oracles as vo
 from citemetrics import (CitationRecord, FidelityError, Publication,
                          authored_vector, h_index, hi_index, pure_h,
                          schreiber_hm)
@@ -81,6 +82,11 @@ def test_all_single_author_collapse(pairs):
     assert hi_index(pairs, "median") == h
     assert pure_h(pairs) == h
     assert schreiber_hm(pairs) == h
+
+
+@given(pair_lists)
+def test_schreiber_matches_oracle(pairs):
+    assert schreiber_hm(pairs) == vo.oracle_schreiber_hm(pairs)
 
 
 @given(pair_lists)

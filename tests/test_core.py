@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import vector_oracles as vo
-from citemetrics import (DomainError, a_index, citation_vector, core_report,
-                         f_index, g_index, h2_index, h_alpha_predict,
-                         h_core_cv, h_core_sum, h_index, hw_index, maxprod,
-                         r_index, rm_index, rmcv_index, t_index, w_index)
+from citemetrics import (DomainError, IndexConfig, a_index, citation_vector,
+                         compute_report, f_index, g_index, h2_index,
+                         h_alpha_predict, h_core_cv, h_core_sum, h_index,
+                         hw_index, maxprod, r_index, rm_index, rmcv_index,
+                         t_index, w_index)
 from golden_values import CLASSIFIED_PRINTED, EQUAL_H_PRINTED, NEW_INDEX_PRINTED
 
 counts_lists = st.lists(st.integers(min_value=0, max_value=200), max_size=40)
@@ -159,10 +160,11 @@ def test_uniform_fixture_collapses_all_indices():
         assert a_index(v) == r_index(v) == hw_index(v) == k
 
 
-def test_core_report_struct(equal_h_records):
-    rep = core_report(citation_vector(equal_h_records["A"]), "unbounded")
-    assert (rep.h, rep.g, rep.w) == (10, 17, 3)
-    assert rep.h_alpha == pytest.approx(math.sqrt(100 - 0.1 * 290))
+def test_core_values_through_report(equal_h_records):
+    rep = compute_report(equal_h_records["A"], IndexConfig(g_convention="unbounded"),
+                         "h,g,w,h_alpha")
+    assert (rep.values["h"], rep.values["g"], rep.values["w"]) == (10, 17, 3)
+    assert rep.values["h_alpha"] == pytest.approx(math.sqrt(100 - 0.1 * 290))
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +181,7 @@ def test_matches_definitional_oracles(counts):
     assert maxprod(counts) == vo.oracle_maxprod(counts)
     assert f_index(counts) == vo.oracle_f(counts)
     assert t_index(counts) == vo.oracle_t(counts)
+    assert hw_index(counts) == vo.oracle_hw(counts)
 
 
 @given(positive_counts)

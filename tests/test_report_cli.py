@@ -8,6 +8,7 @@ import pytest
 from citemetrics import (CitationEvent, CitationRecord, FidelityError,
                          IndexConfig, Publication, compute_report,
                          record_to_dict, write_record)
+from citemetrics import coauthor, records, report, temporal
 from citemetrics.cli import main
 from citemetrics.report import REPORT_INDEX_KEYS, format_value, render_json
 from conftest import GOLDEN
@@ -44,6 +45,56 @@ def test_report_marks_trend_unavailable_on_counts_only(equal_h_records):
 def test_report_strict_raises(equal_h_records):
     with pytest.raises(FidelityError):
         compute_report(equal_h_records["A"], indices="h_trend", strict=True)
+
+
+def test_report_filters_self_citations_once(monkeypatch):
+    calls = []
+    real = records.filter_self_citations
+
+    def counting(record, mode="include"):
+        calls.append(mode)
+        return real(record, mode)
+
+    for module in (records, report, temporal, coauthor):
+        monkeypatch.setattr(module, "filter_self_citations", counting)
+    record = CitationRecord(entity="X", owner_name="O. Wner", publications=tuple(
+        Publication(id=f"p{i}", year=2000 + i, authors=("O. Wner", "C. Oauthor"),
+                    citation_events=(CitationEvent(2005, ("C. Oauthor",)),
+                                     CitationEvent(2006, ("R. Eader",))) * (i + 1))
+        for i in range(4)))
+    rep = compute_report(record, IndexConfig(self_citation_mode="exclude_coauthor"))
+    assert calls == ["exclude_coauthor"]
+    assert not rep.unavailable and rep.values["h"] == 2
+
+
+_NO_OWNER = CitationRecord(entity="anon", publications=(
+    Publication(id="p1", year=2000, authors=("A. Author",), citation_events=(
+        CitationEvent(2001, ("A. Author",)), CitationEvent(2003, ("B. Reader",)))),))
+_COUNTS_ONLY = CitationRecord(entity="counts", owner_name="A. Author", publications=(
+    Publication(id="p1", year=2000, author_count=2, citation_count=5),
+    Publication(id="p2", year=2004, author_count=1, citation_count=3)))
+_OWNER_NEEDED = "exclude_own needs owner_name to be set"
+
+
+@pytest.mark.parametrize("record, config, message, exceptions", [
+    # the raw record's now_year is checked before filtering for m_quotient
+    (_NO_OWNER, IndexConfig(self_citation_mode="exclude_own", now_year=1999),
+     f"record 'anon': {_OWNER_NEEDED}",
+     {"m_quotient": "now_year 1999 precedes publication year 2000"}),
+    (_COUNTS_ONLY, IndexConfig(self_citation_mode="exclude_coauthor"),
+     "publication 'p1' has no citation events; "
+     "self-citation filtering needs event-level data", {}),
+    # the publication count is checked before filtering
+    (CitationRecord(entity="empty"), IndexConfig(self_citation_mode="exclude_own"),
+     f"record 'empty': {_OWNER_NEEDED}",
+     {"h_norm_output": "record 'empty' has no publications",
+      "m_quotient": "record 'empty' has no publications"}),
+])
+def test_unavailable_messages_per_key(record, config, message, exceptions):
+    rep = compute_report(record, config)
+    assert rep.values == {}
+    assert rep.unavailable == {key: exceptions.get(key, message)
+                               for key in REPORT_INDEX_KEYS}
 
 
 def test_format_value_rules():
@@ -344,6 +395,61 @@ def test_usage_errors_exit_2(capsys, equal_h_paths):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--inputs", str(equal_h_paths["A"])])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [["--gamma", "0"], ["--delta", "-1"],
+                                   ["--gamma", "nan"], ["--gamma", "inf"],
+                                   ["--delta", "nan"]])
+def test_bad_config_values_are_usage_errors(capsys, equal_h_paths, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--input", str(equal_h_paths["A"])] + flags)
+    assert exc.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, data", [
+    ("latin1.json", '{"entity": "M\xfcller", "publications": []}'.encode("latin-1")),
+    ("latin1.csv", "id,year,author_count,citation_count\np\xe91,2000,1,3\n".encode("latin-1")),
+], ids=["json", "csv"])
+def test_non_utf8_input_is_input_error(capsys, tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    code, out, err = _run(capsys, ["compute", "--input", str(path)])
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {path}: not UTF-8 text (") and err.count("\n") == 1
+
+
+def _json_with(pub):
+    return json.dumps({"entity": "E", "publications": [pub]})
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("count.json", _json_with({"id": "p", "year": 2000, "citation_count": True}),
+     "field 'citation_count' must be an integer"),
+    ("authors.json", _json_with({"id": "p", "year": 2000, "author_count": True,
+                                 "citation_count": 1}),
+     "field 'author_count' must be an integer"),
+    ("year.json", _json_with({"id": "p", "year": False, "citation_count": 1}),
+     "field 'year' must be an integer"),
+    ("event.json", _json_with({"id": "p", "year": 2000,
+                               "citation_events": [{"year": True}]}),
+     "field 'year' must be an integer"),
+    ("empty_id.json", _json_with({"id": "", "year": 2000, "citation_count": 1}),
+     "publication id '' is blank"),
+    ("blank_id.json", _json_with({"id": "  ", "year": 2000, "citation_count": 1}),
+     "publication id '  ' is blank"),
+    ("blank_id.csv", "id,year,author_count,citation_count\n  ,2000,1,3\n",
+     "publication id '' is blank"),
+    ("blank_pub_id.csv", "pub_id,pub_year,author_count,cite_year,citing_authors\n"
+                         " ,2000,1,2001,A. Reader\n",
+     "publication id '' is blank"),
+])
+def test_bool_numbers_and_blank_ids_are_input_errors(capsys, tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = _run(capsys, ["compute", "--input", str(path)])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_console_entry_point_runs():

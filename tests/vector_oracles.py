@@ -69,3 +69,26 @@ def oracle_t(counts):
     qualifying = [t for t in range(1, len(counts) + 1)
                   if _geometric_mean_at_least(counts[:t], t)]
     return max(qualifying, default=0)
+
+
+def oracle_hw(counts):
+    counts = sorted(counts, reverse=True)
+    h = oracle_h(counts)
+    if h == 0:
+        return 0.0
+    # weighted rank r_w(j) = sum(top j) / h must not exceed the j-th count
+    qualifying = [j for j in range(1, len(counts) + 1)
+                  if Fraction(sum(counts[:j]), h) <= counts[j - 1]]
+    return math.sqrt(sum(counts[:max(qualifying, default=0)]))
+
+
+def _effective_rank(pairs, j):
+    return sum(Fraction(1, authors) for _, authors in pairs[:j])
+
+
+def oracle_schreiber_hm(pairs):
+    # (citations, authors) pairs, citations descending with ties kept in order
+    pairs = sorted(pairs, key=lambda p: -p[0])
+    qualifying = [_effective_rank(pairs, j) for j in range(1, len(pairs) + 1)
+                  if _effective_rank(pairs, j) <= pairs[j - 1][0]]
+    return float(max(qualifying, default=0))
