@@ -11,7 +11,7 @@ from citemetrics import (CitationEvent, CitationRecord, FidelityError,
 from citemetrics import coauthor, records, report, temporal
 from citemetrics.cli import main
 from citemetrics.report import REPORT_INDEX_KEYS, format_value, render_json
-from conftest import GOLDEN
+from conftest import FIXTURES, GOLDEN
 
 CLASSIFIED_ORDER = ["ACE", "ACF", "ADE", "ADF", "BCE", "BCF", "BDE", "BDF"]
 
@@ -139,6 +139,39 @@ def test_compare_sorted_golden(capsys, classified_paths):
     assert code == 0
     assert out == (GOLDEN / "compare_classified_sorted.txt").read_text()
     assert out.splitlines()[1].startswith("BCF")
+
+
+_CLASSIFIED = [str(FIXTURES / "classified_authors" / f"{name}.json")
+               for name in CLASSIFIED_ORDER]
+_PLOTTED = {"compute_A", "compare_classified"}
+_COMMAND_CASES = {
+    "compute_A": ["compute", "--input", str(FIXTURES / "equal_h_cohort" / "A.json")],
+    "compare_classified": ["compare", "--inputs", *_CLASSIFIED, "--indices", "h,g,a,r"],
+    "sequence_ACE": ["sequence", "--input", _CLASSIFIED[0]],
+    "matrix_classified": ["matrix", "--inputs", *_CLASSIFIED],
+    "successive_classified": ["successive", "--inputs", *_CLASSIFIED],
+    "group_classified": ["group", "--inputs", *_CLASSIFIED],
+    "simulate": ["simulate", "--careers", "5", "--years", "6"],
+    "journal": ["journal", "--articles", "50", "--citations", "100"],
+    "journal_h": ["journal", "--articles", "100", "--citations", "150", "--h", "10"],
+    "field": ["field", "--h", "10", "--field-chi", "32", "--reference-chi", "4",
+              "--np", "100", "--chi", "10", "--nc", "10000"],
+    "status": ["status", "--input", str(FIXTURES / "cohort.csv")],
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("case", sorted(_COMMAND_CASES))
+def test_command_golden(capsys, tmp_path, case, fmt):
+    argv = _COMMAND_CASES[case] + ["--format", fmt]
+    plot = tmp_path / "plot.csv"
+    if case in _PLOTTED:
+        argv += ["--emit-plot", str(plot)]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "commands" / f"{case}.{fmt}.txt").read_text()
+    if case in _PLOTTED:
+        assert plot.read_text() == (GOLDEN / "commands" / f"{case}.plot.csv").read_text()
 
 
 def test_compute_root_sum_root_values(capsys, classified_paths):
