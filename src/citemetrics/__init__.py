@@ -6,9 +6,9 @@ The package splits into the record model (records), vector-only indices
 layer (aggregate), and report/CLI plumbing (report, cli).
 """
 
-from .aggregate import (CareerSummary, Group, SimConfig, TailFunction,
+from .aggregate import (CareerSummary, SimConfig, TailFunction,
                         burrell_simulate, dynamic_h, glanzel_H, group_hc,
-                        group_hp, lotkaian_h, successive_h, summaries_to_csv)
+                        group_hp, lotkaian_h, successive_h)
 from .coauthor import AuthoredVector, authored_vector, hi_index, pure_h, schreiber_hm
 from .core import (a_index, f_index, g_index, h2_index, h_alpha_predict,
                    h_core_cv, h_core_sum, h_index, hw_index, maxprod, r_index,

@@ -21,13 +21,8 @@ from .errors import DomainError, UndefinedInputError
 from .records import CitationEvent, CitationRecord, Publication, citation_vector, totals
 
 
-@dataclass(frozen=True)
-class Group:
-    members: tuple
-
-
 def _members(group):
-    members = list(getattr(group, "members", group))
+    members = list(group)
     if not members:
         raise UndefinedInputError("group has no members")
     return members
@@ -233,10 +228,3 @@ def burrell_simulate(config):
             h=h_index(vector), a=a_index(vector), core_size=h_core_sum(vector)))
         records.append(record)
     return records, summaries
-
-
-def summaries_to_csv(summaries):
-    lines = ["career_id,years,n_p,n_c,h,a,core_size"]
-    for s in summaries:
-        lines.append(f"{s.career_id},{s.years},{s.n_p},{s.n_c},{s.h},{s.a!r},{s.core_size}")
-    return "\n".join(lines) + "\n"

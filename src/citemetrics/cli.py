@@ -11,16 +11,15 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import sys
 from pathlib import Path
 
 from . import report as report_mod
-from .aggregate import (SimConfig, burrell_simulate, group_hc, group_hp,
-                        successive_h, summaries_to_csv)
+from .aggregate import (CareerSummary, SimConfig, burrell_simulate, group_hc,
+                        group_hp, successive_h)
 from .errors import (DegenerateCohortError, DomainError, FidelityError,
                      RecordParseError, RecordValidationError, UndefinedInputError)
-from .records import IndexConfig, citation_vector, parse_record
+from .records import IndexConfig, parse_record
 from .temporal import h_matrix, h_sequence
 from .venue import (DEFAULT_REFERENCE_FIELD, FieldProfile, JournalWindow,
                     field_factor, field_normalized_h, impact_factor,
@@ -28,7 +27,7 @@ from .venue import (DEFAULT_REFERENCE_FIELD, FieldProfile, JournalWindow,
                     theoretical_h_estimate, vanraan_diagnostic)
 
 _INPUT_ERRORS = (RecordParseError, RecordValidationError, FidelityError,
-                 FileNotFoundError, IsADirectoryError)
+                 FileNotFoundError, IsADirectoryError, UnicodeDecodeError, csv.Error)
 _DOMAIN_ERRORS = (DomainError, UndefinedInputError, DegenerateCohortError)
 
 
@@ -71,19 +70,10 @@ def _emit(text, args):
         sys.stdout.write(text)
 
 
-def _metric_rows_text(rows, fmt):
-    if fmt == "json":
-        return report_mod.render_json({key: value for key, value in rows})
-    if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["metric", "value"])
-        for key, value in rows:
-            writer.writerow([key, repr(value) if isinstance(value, float) else value])
-        return out.getvalue()
-    width = max(len(key) for key, _ in rows)
-    lines = [f"{key.ljust(width)}  {value}" for key, value in rows]
-    return "\n".join(lines) + "\n"
+def _emit_metrics(rows, args):
+    table = [[key, str(value)] for key, value in rows]
+    _emit(report_mod.render(args.format, dict(rows), [("metric", "value"), *rows],
+                            table), args)
 
 
 def _indices_arg(parser, args):
@@ -98,17 +88,10 @@ def cmd_compute(parser, args):
     config = _config_from(parser, args)
     indices = _indices_arg(parser, args)
     rep = report_mod.compute_report(record, config, indices, strict=args.strict)
-    if args.format == "json":
-        text = report_mod.render_json(report_mod.report_to_jsonable(rep))
-    elif args.format == "csv":
-        text = report_mod.render_csv(rep)
-    else:
-        text = report_mod.render_table(rep)
-    _emit(text, args)
+    _emit(report_mod.render_report(rep, args.format), args)
     if args.emit_plot:
-        vector = citation_vector(record, config)
-        Path(args.emit_plot).write_text(
-            report_mod.plot_series_csv([(rep, vector)]), encoding="utf-8")
+        Path(args.emit_plot).write_text(report_mod.plot_series_csv([rep]),
+                                        encoding="utf-8")
     return 0
 
 
@@ -129,18 +112,9 @@ def cmd_compare(parser, args):
             missing = value is None
             return (missing, -(value if not missing else 0), rep.entity)
         reports = sorted(reports, key=sort_key)
-    if args.format == "json":
-        text = report_mod.render_json(
-            {"reports": [report_mod.report_to_jsonable(r) for r in reports]})
-    elif args.format == "csv":
-        text = report_mod.render_compare_csv(reports, indices)
-    else:
-        text = report_mod.render_compare_table(reports, indices)
-    _emit(text, args)
+    _emit(report_mod.render_compare(reports, indices, args.format), args)
     if args.emit_plot:
-        entries = [(rep, citation_vector(rec, config))
-                   for rep, rec in zip(reports, records)]
-        Path(args.emit_plot).write_text(report_mod.plot_series_csv(entries),
+        Path(args.emit_plot).write_text(report_mod.plot_series_csv(reports),
                                         encoding="utf-8")
     return 0
 
@@ -149,24 +123,14 @@ def cmd_sequence(parser, args):
     record = parse_record(args.input)
     seq = h_sequence(record, _config_from(parser, args),
                      truncate_events_to_now=args.truncate_events)
-    if args.format == "json":
-        text = report_mod.render_json({
-            "entity": record.entity, "end_year": seq.end_year,
-            "windows": [{"start_year": s, "h": h}
-                        for s, h in zip(seq.start_years, seq.values)]})
-    elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["start_year", "end_year", "h"])
-        for start, value in zip(seq.start_years, seq.values):
-            writer.writerow([start, seq.end_year, value])
-        text = out.getvalue()
-    else:
-        rows = [["window", "h"]]
-        rows += [[f"{start}-{seq.end_year}", str(value)]
-                 for start, value in zip(seq.start_years, seq.values)]
-        text = f"entity  {record.entity}\n" + report_mod._pad_table(rows)
-    _emit(text, args)
+    windows = list(zip(seq.start_years, seq.values))
+    payload = {"entity": record.entity, "end_year": seq.end_year,
+               "windows": [{"start_year": s, "h": h} for s, h in windows]}
+    rows = [["start_year", "end_year", "h"]]
+    rows += [[s, seq.end_year, h] for s, h in windows]
+    table = [["window", "h"]] + [[f"{s}-{seq.end_year}", str(h)] for s, h in windows]
+    _emit(report_mod.render(args.format, payload, rows, table,
+                            title=f"entity  {record.entity}"), args)
     return 0
 
 
@@ -175,27 +139,18 @@ def cmd_matrix(parser, args):
     matrix = h_matrix(records, _config_from(parser, args),
                       truncate_events_to_now=args.truncate_events)
     width = len(matrix.rows[0]) if matrix.rows else 0
-    if args.format == "json":
-        text = report_mod.render_json({
-            "entities": list(matrix.entities),
-            "rows": [list(row) for row in matrix.rows]})
-    else:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["entity"] + list(range(width)))
-        for entity, row in zip(matrix.entities, matrix.rows):
-            writer.writerow([entity] + ["" if v is None else v for v in row])
-        text = out.getvalue()
-    _emit(text, args)
+    payload = {"entities": list(matrix.entities),
+               "rows": [list(row) for row in matrix.rows]}
+    rows = [["entity", *range(width)]]
+    rows += [[entity, *row] for entity, row in zip(matrix.entities, matrix.rows)]
+    _emit(report_mod.render(args.format, payload, rows, None), args)
     return 0
 
 
 def cmd_successive(parser, args):
     records = [parse_record(path) for path in args.inputs]
-    value = successive_h(records)
-    text = _metric_rows_text([("members", len(records)), ("successive_h", value)],
-                             args.format)
-    _emit(text, args)
+    _emit_metrics([("members", len(records)), ("successive_h", successive_h(records))],
+                  args)
     return 0
 
 
@@ -205,7 +160,7 @@ def cmd_group(parser, args):
             ("successive_h", successive_h(records)),
             ("group_hp", group_hp(records)),
             ("group_hc", group_hc(records))]
-    _emit(_metric_rows_text(rows, args.format), args)
+    _emit_metrics(rows, args)
     return 0
 
 
@@ -215,18 +170,12 @@ def cmd_simulate(parser, args):
                        gamma_shape=args.gamma_shape, gamma_rate=args.gamma_rate,
                        citation_rate_scale=args.rate_scale)
     _, summaries = burrell_simulate(config)
-    if args.format == "json":
-        text = report_mod.render_json(
-            {"careers": [dataclasses.asdict(s) for s in summaries]})
-    elif args.format == "table":
-        rows = [["career_id", "years", "n_p", "n_c", "h", "a", "core_size"]]
-        rows += [[str(s.career_id), str(s.years), str(s.n_p), str(s.n_c),
-                  str(s.h), report_mod.format_value("a", s.a), str(s.core_size)]
-                 for s in summaries]
-        text = report_mod._pad_table(rows)
-    else:
-        text = summaries_to_csv(summaries)
-    _emit(text, args)
+    careers = [dataclasses.asdict(s) for s in summaries]
+    header = [f.name for f in dataclasses.fields(CareerSummary)]
+    rows = [header] + [list(c.values()) for c in careers]
+    table = [header] + [[report_mod.format_value(k, v) for k, v in c.items()]
+                        for c in careers]
+    _emit(report_mod.render(args.format, {"careers": careers}, rows, table), args)
     return 0
 
 
@@ -242,7 +191,7 @@ def cmd_journal(parser, args):
         rows.append(("relative_h", relative_h(args.h, articles_in_year)))
         rows.append(("sri", sri(args.h, args.articles)))
         rows.append(("impact_index", impact_index_hm(args.h, args.articles, args.beta)))
-    _emit(_metric_rows_text(rows, args.format), args)
+    _emit_metrics(rows, args)
     return 0
 
 
@@ -265,7 +214,7 @@ def cmd_field(parser, args):
         rows.append(("h_vanraan", vanraan_diagnostic(args.nc)))
     if not rows:
         parser.error("nothing to compute; pass --field-chi, --np/--chi or --nc")
-    _emit(_metric_rows_text(rows, args.format), args)
+    _emit_metrics(rows, args)
     return 0
 
 
@@ -282,25 +231,13 @@ def cmd_status(parser, args):
             except (TypeError, ValueError):
                 raise RecordParseError(
                     f"{args.input}: line {lineno}: bad cohort row") from None
-    residuals = research_status(points)
-    by_entity = dict(residuals)
-    if args.format == "json":
-        text = report_mod.render_json(
-            {"cohort": [{"entity": e, "n_p": n, "h": h, "residual": by_entity[e]}
-                        for e, n, h in points]})
-    elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["entity", "n_p", "h", "residual"])
-        for entity, n_p, h in points:
-            writer.writerow([entity, n_p, h, repr(by_entity[entity])])
-        text = out.getvalue()
-    else:
-        rows = [["entity", "n_p", "h", "residual"]]
-        rows += [[entity, str(n_p), str(h), f"{by_entity[entity]:.4f}"]
-                 for entity, n_p, h in points]
-        text = report_mod._pad_table(rows)
-    _emit(text, args)
+    by_entity = dict(research_status(points))
+    header = ["entity", "n_p", "h", "residual"]
+    cohort = [[e, n, h, by_entity[e]] for e, n, h in points]
+    table = [header] + [[e, str(n), str(h), f"{r:.4f}"] for e, n, h, r in cohort]
+    _emit(report_mod.render(args.format,
+                            {"cohort": [dict(zip(header, row)) for row in cohort]},
+                            [header, *cohort], table), args)
     return 0
 
 

@@ -24,6 +24,10 @@ KINDS = ("researcher", "journal", "institution", "topic")
 SELF_CITATION_MODES = ("include", "exclude_own", "exclude_coauthor")
 G_CONVENTIONS = ("bounded", "unbounded")
 
+# Every integer a record or config carries must fit a signed 64-bit word;
+# larger ones would overflow the float arithmetic of the indices.
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
 _COUNTS_CSV_HEADER = ["id", "year", "author_count", "citation_count"]
 _EVENTS_CSV_HEADER = ["pub_id", "pub_year", "author_count", "cite_year", "citing_authors"]
 
@@ -107,6 +111,8 @@ class IndexConfig:
             raise ValueError("gamma must be positive and finite")
         if not self.delta >= 0:
             raise ValueError("delta must be non-negative")
+        if self.now_year is not None and not INT64_MIN <= self.now_year <= INT64_MAX:
+            raise ValueError("now_year must be a signed 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,11 @@ def validate_record(record):
         if pub.id in seen:
             raise RecordValidationError(f"duplicate publication id {pub.id!r}")
         seen.add(pub.id)
+        for name in ("year", "author_count", "citation_count"):
+            value = getattr(pub, name)
+            if value is not None and not INT64_MIN <= value <= INT64_MAX:
+                raise RecordValidationError(
+                    f"publication {pub.id!r}: {name} does not fit in a signed 64-bit integer")
         if pub.citation_count is None and pub.citation_events is None:
             raise RecordValidationError(
                 f"publication {pub.id!r}: needs citation_count or citation_events")
@@ -144,6 +155,10 @@ def validate_record(record):
                     f"does not match {len(pub.citation_events)} citation events")
         if pub.citation_events is not None:
             for event in pub.citation_events:
+                if event.year > INT64_MAX:  # the year check below bounds it from below
+                    raise RecordValidationError(
+                        f"publication {pub.id!r}: citation event year does not fit "
+                        "in a signed 64-bit integer")
                 if event.year < pub.year:
                     raise RecordValidationError(
                         f"publication {pub.id!r}: citation event year {event.year} "
@@ -430,4 +445,10 @@ def parse_record(path, format=None):
         raise RecordParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         raise RecordParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except RecursionError:
+        raise RecordParseError(f"{path}: JSON nested too deeply") from None
+    except ValueError:  # json.loads: an integer past the interpreter's digit limit
+        raise RecordParseError(f"{path}: integer literal too long") from None
+    except csv.Error as exc:
+        raise RecordParseError(f"{path}: {exc}") from None
     return record_from_dict(data, source=str(path))

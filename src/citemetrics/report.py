@@ -6,12 +6,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from . import coauthor, core, temporal
 from .errors import DomainError, FidelityError, UndefinedInputError
-from .records import (CitationRecord, IndexConfig, citation_vector,
-                      filter_self_citations, resolve_now_year)
+from .records import (CitationRecord, CitationVector, IndexConfig,
+                      citation_vector, filter_self_citations, resolve_now_year)
 
 REPORT_INDEX_KEYS = (
     "h", "g", "a", "r", "h_w", "h2", "w", "maxprod", "f", "t",
@@ -110,6 +111,7 @@ class IndexReport:
     keys: tuple
     values: dict
     unavailable: dict
+    vector: CitationVector | None = None  # None when it could not be built
 
 
 def select_indices(selection):
@@ -151,9 +153,13 @@ def compute_report(record, config=None, indices=None, strict=False):
             if strict:
                 raise
             unavailable[key] = str(exc)
+    try:
+        vector = view.part("vector")
+    except _UNAVAILABLE_ERRORS:
+        vector = None
     return IndexReport(entity=record.entity, kind=record.kind,
                        config=_config_echo(view), keys=keys,
-                       values=values, unavailable=unavailable)
+                       values=values, unavailable=unavailable, vector=vector)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +170,7 @@ def format_value(key, value):
     get one decimal, the root-sum-root family two, everything else four."""
     if isinstance(value, int):
         return str(value)
-    if value == int(value):
+    if math.isfinite(value) and value == int(value):
         return str(int(value))
     if key in _ONE_DECIMAL:
         places = 1
@@ -173,12 +179,6 @@ def format_value(key, value):
     else:
         places = 4
     return f"{value:.{places}f}"
-
-
-def _cell(report, key):
-    if key in report.values:
-        return format_value(key, report.values[key])
-    return None
 
 
 def _pad_table(rows):
@@ -190,21 +190,19 @@ def _pad_table(rows):
     return "\n".join(lines) + "\n"
 
 
-def render_table(report):
-    rows = [["entity", report.entity], ["kind", report.kind]]
-    for key in report.keys:
-        value = _cell(report, key)
-        if value is None:
-            value = f"unavailable ({report.unavailable[key]})"
-        rows.append([key, value])
-    return _pad_table(rows)
-
-
-def render_compare_table(reports, keys):
-    rows = [["entity"] + list(keys)]
-    for report in reports:
-        rows.append([report.entity] + [(_cell(report, k) or "-") for k in keys])
-    return _pad_table(rows)
+def render(fmt, payload, rows, table, title=None):
+    """The one place that picks an output format.  json renders payload;
+    csv writes rows, header first, raw values (floats at full precision,
+    None as an empty cell); table pads the string cells of table, below the
+    fixed line title when given.  A command without a table (table=None)
+    prints its CSV in table mode."""
+    if fmt == "json":
+        return render_json(payload)
+    if fmt == "csv" or table is None:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return out.getvalue()
+    return (f"{title}\n" if title else "") + _pad_table(table)
 
 
 def report_to_jsonable(report):
@@ -222,45 +220,43 @@ def render_json(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _number_cell(value):
-    return repr(value) if isinstance(value, float) else str(value)
+def render_report(report, fmt):
+    rows = [[key, report.values.get(key), report.unavailable.get(key, "")]
+            for key in report.keys]
+    table = [["entity", report.entity], ["kind", report.kind]] + [
+        [key, format_value(key, value) if key in report.values
+         else f"unavailable ({note})"] for key, value, note in rows]
+    return render(fmt, report_to_jsonable(report),
+                  [["index", "value", "note"], *rows], table)
 
 
-def render_csv(report):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["index", "value", "note"])
-    for key in report.keys:
-        if key in report.values:
-            writer.writerow([key, _number_cell(report.values[key]), ""])
-        else:
-            writer.writerow([key, "", report.unavailable[key]])
-    return out.getvalue()
+def _compare_rows(reports, keys):
+    return [["entity", "kind", *keys]] + [
+        [report.entity, report.kind, *(report.values.get(k) for k in keys)]
+        for report in reports]
+
+
+def render_compare(reports, keys, fmt):
+    table = [["entity", *keys]] + [
+        [report.entity, *(format_value(k, report.values[k]) if k in report.values
+                          else "-" for k in keys)]
+        for report in reports]
+    return render(fmt, {"reports": [report_to_jsonable(r) for r in reports]},
+                  _compare_rows(reports, keys), table)
 
 
 def render_compare_csv(reports, keys):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["entity", "kind"] + list(keys))
+    return render("csv", None, _compare_rows(reports, keys), None)
+
+
+def plot_series_csv(reports):
+    """Plot-data emission: one (rank, citations) series per report whose
+    citation vector is available, plus an (index, value) series."""
+    rows = [["series", "entity", "x", "y"]]
     for report in reports:
-        row = [report.entity, report.kind]
-        for key in keys:
-            row.append(_number_cell(report.values[key]) if key in report.values else "")
-        writer.writerow(row)
-    return out.getvalue()
-
-
-def plot_series_csv(entries):
-    """Plot-data emission: one (rank, citations) series per record plus an
-    (index, value) series; entries are (report, vector) pairs."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["series", "entity", "x", "y"])
-    for report, vector in entries:
-        for rank, count in enumerate(vector.counts, start=1):
-            writer.writerow(["citations", report.entity, rank, count])
-        for key in report.keys:
-            if key in report.values:
-                writer.writerow(["index", report.entity, key,
-                                 _number_cell(report.values[key])])
-    return out.getvalue()
+        if report.vector is not None:
+            rows += [["citations", report.entity, rank, count]
+                     for rank, count in enumerate(report.vector.counts, start=1)]
+        rows += [["index", report.entity, key, report.values[key]]
+                 for key in report.keys if key in report.values]
+    return render("csv", None, rows, None)

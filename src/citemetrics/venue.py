@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .errors import (DegenerateCohortError, DomainError, RecordValidationError,
                      UndefinedInputError)
+from .records import INT64_MAX
 
 DEFAULT_REFERENCE_FIELD = "physics"
 
@@ -56,6 +57,9 @@ class CohortPoint:
     def __post_init__(self):
         if self.n_p < 0 or self.h < 0:
             raise RecordValidationError(f"{self.entity!r}: counts must be non-negative")
+        if self.n_p > INT64_MAX:
+            raise RecordValidationError(
+                f"{self.entity!r}: n_p does not fit in a signed 64-bit integer")
         if self.h > self.n_p:
             raise RecordValidationError(
                 f"{self.entity!r}: h ({self.h}) exceeds publication count ({self.n_p})")

@@ -1,0 +1,83 @@
+"""CLI fuzz gate: whatever the input file and flags, a run ends with exit
+code 0, 2, 3 or 4, never with an uncaught exception, and an input or domain
+error is reported on one `error:` line."""
+
+import contextlib
+import io
+import json
+
+from hypothesis import given, strategies as st
+
+from citemetrics.cli import main
+from citemetrics.records import KINDS
+
+_INT = st.integers(min_value=-10 ** 400, max_value=10 ** 400)
+_AUTHOR = st.sampled_from(["O. Wner", "o. wner ", "C. Oauthor", "R. Eader"])
+_EVENT = st.fixed_dictionaries(
+    {"year": _INT}, optional={"citing_authors": st.lists(_AUTHOR, max_size=3)})
+_PUBLICATION = st.fixed_dictionaries(
+    {"id": st.text(max_size=3), "year": _INT},
+    optional={"authors": st.lists(_AUTHOR, max_size=3), "author_count": _INT,
+              "citation_count": _INT, "citation_events": st.lists(_EVENT, max_size=4)})
+_RECORD = st.fixed_dictionaries(
+    {"entity": st.text(max_size=5), "publications": st.lists(_PUBLICATION, max_size=5)},
+    optional={"kind": st.sampled_from(KINDS), "owner_name": _AUTHOR})
+_FLOAT = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda value: [f"{name}={value}"]))
+
+
+_RECORD_FLAGS = st.tuples(
+    _flag("--self-citations", st.sampled_from(["include", "exclude-own",
+                                               "exclude-coauthor"])),
+    _flag("--now-year", _INT), _flag("--delta", _FLOAT),
+    _flag("--format", st.sampled_from(["table", "json", "csv"])),
+).map(lambda flags: sum(flags, []))
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    if code in (3, 4):
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    return code
+
+
+@given(record=_RECORD, flags=_RECORD_FLAGS, strict=st.booleans(),
+       alpha=_flag("--alpha", _FLOAT))
+def test_compute_on_schema_shaped_records(tmp_path_factory, record, flags, strict, alpha):
+    path = tmp_path_factory.mktemp("fuzz") / "record.json"
+    path.write_text(json.dumps(record))
+    _run(["compute", "--input", str(path), *flags, *alpha] + ["--strict"] * strict)
+
+
+@given(record=_RECORD, flags=_RECORD_FLAGS, truncate=st.booleans())
+def test_sequence_on_schema_shaped_records(tmp_path_factory, record, flags, truncate):
+    path = tmp_path_factory.mktemp("fuzz") / "record.json"
+    path.write_text(json.dumps(record))
+    _run(["sequence", "--input", str(path), *flags]
+         + ["--truncate-events"] * truncate)
+
+
+@given(data=st.binary(max_size=200), suffix=st.sampled_from([".json", ".csv"]),
+       header=st.sampled_from([b"", b"id,year,author_count,citation_count\n",
+                               b"pub_id,pub_year,author_count,cite_year,citing_authors\n"]))
+def test_compute_on_arbitrary_bytes(tmp_path_factory, data, suffix, header):
+    path = tmp_path_factory.mktemp("fuzz") / f"record{suffix}"
+    path.write_bytes(header + data)
+    _run(["compute", "--input", str(path)])
+
+
+@given(data=st.binary(max_size=200), header=st.sampled_from([b"", b"entity,n_p,h\n"]),
+       fmt=st.sampled_from(["table", "json", "csv"]))
+def test_status_on_arbitrary_bytes(tmp_path_factory, data, header, fmt):
+    path = tmp_path_factory.mktemp("fuzz") / "cohort.csv"
+    path.write_bytes(header + data)
+    _run(["status", "--input", str(path), "--format", fmt])

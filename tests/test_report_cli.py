@@ -47,7 +47,9 @@ def test_report_strict_raises(equal_h_records):
         compute_report(equal_h_records["A"], indices="h_trend", strict=True)
 
 
-def test_report_filters_self_citations_once(monkeypatch):
+@pytest.fixture
+def filter_calls(monkeypatch):
+    """The modes of every filter_self_citations call made during the test."""
     calls = []
     real = records.filter_self_citations
 
@@ -57,13 +59,19 @@ def test_report_filters_self_citations_once(monkeypatch):
 
     for module in (records, report, temporal, coauthor):
         monkeypatch.setattr(module, "filter_self_citations", counting)
-    record = CitationRecord(entity="X", owner_name="O. Wner", publications=tuple(
-        Publication(id=f"p{i}", year=2000 + i, authors=("O. Wner", "C. Oauthor"),
-                    citation_events=(CitationEvent(2005, ("C. Oauthor",)),
-                                     CitationEvent(2006, ("R. Eader",))) * (i + 1))
-        for i in range(4)))
-    rep = compute_report(record, IndexConfig(self_citation_mode="exclude_coauthor"))
-    assert calls == ["exclude_coauthor"]
+    return calls
+
+
+_OWNED = CitationRecord(entity="X", owner_name="O. Wner", publications=tuple(
+    Publication(id=f"p{i}", year=2000 + i, authors=("O. Wner", "C. Oauthor"),
+                citation_events=(CitationEvent(2005, ("C. Oauthor",)),
+                                 CitationEvent(2006, ("R. Eader",))) * (i + 1))
+    for i in range(4)))
+
+
+def test_report_filters_self_citations_once(filter_calls):
+    rep = compute_report(_OWNED, IndexConfig(self_citation_mode="exclude_coauthor"))
+    assert filter_calls == ["exclude_coauthor"]
     assert not rep.unavailable and rep.values["h"] == 2
 
 
@@ -384,6 +392,42 @@ def test_emit_plot(capsys, tmp_path, equal_h_paths):
     assert ["index", "A", "h", "10"] in rows
 
 
+def test_emit_plot_filters_once(capsys, tmp_path, filter_calls):
+    path = tmp_path / "owned.json"
+    write_record(_OWNED, path)
+    code, _, _ = _run(capsys, ["compute", "--input", str(path), "--self-citations",
+                               "exclude-own", "--emit-plot", str(tmp_path / "plot.csv")])
+    assert code == 0
+    assert filter_calls == ["exclude_own"]
+
+
+def test_emit_plot_omits_unavailable_citation_series(capsys, tmp_path, classified_paths):
+    plot = tmp_path / "plot.csv"
+    code, out, err = _run(capsys, ["compute", "--input", str(classified_paths["ACE"]),
+                                   "--self-citations", "exclude-coauthor",
+                                   "--emit-plot", str(plot)])
+    assert (code, err) == (0, "")
+    assert "unavailable (publication 'p01' has no citation events" in out
+    assert plot.read_text() == "series,entity,x,y\n"
+
+
+def test_sorted_compare_plot_keeps_each_series_with_its_entity(
+        capsys, tmp_path, equal_h_paths, equal_h_records):
+    plot = tmp_path / "plot.csv"
+    code, out, _ = _run(capsys, ["compare", "--inputs", *map(str, equal_h_paths.values()),
+                                 "--indices", "h,g,a,r", "--sort-by", "r",
+                                 "--emit-plot", str(plot)])
+    assert code == 0
+    series = {}
+    for kind, entity, _, y in list(csv.reader(plot.read_text().splitlines()))[1:]:
+        if kind == "citations":
+            series.setdefault(entity, []).append(int(y))
+    assert series == {name: list(records.citation_vector(record).counts)
+                      for name, record in equal_h_records.items()}
+    sorted_entities = [line.split()[0] for line in out.splitlines()[1:]]
+    assert list(series) == sorted_entities
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 
@@ -432,7 +476,7 @@ def test_usage_errors_exit_2(capsys, equal_h_paths):
 
 @pytest.mark.parametrize("flags", [["--gamma", "0"], ["--delta", "-1"],
                                    ["--gamma", "nan"], ["--gamma", "inf"],
-                                   ["--delta", "nan"]])
+                                   ["--delta", "nan"], ["--now-year", str(10 ** 400)]])
 def test_bad_config_values_are_usage_errors(capsys, equal_h_paths, flags):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--input", str(equal_h_paths["A"])] + flags)
@@ -454,6 +498,56 @@ def test_non_utf8_input_is_input_error(capsys, tmp_path, name, data):
 
 def _json_with(pub):
     return json.dumps({"entity": "E", "publications": [pub]})
+
+
+_BIG = 10 ** 400
+_FIT = "does not fit in a signed 64-bit integer"
+
+
+@pytest.mark.parametrize("command, name, text, message", [
+    ("status", "cohort.csv", "entity,n_p,h\nM\xfcller,10,5\n".encode("latin-1"),
+     "codec can't decode byte 0xfc"),
+    ("compute", "nested.json", "[" * 100_000 + "]" * 100_000, "JSON nested too deeply"),
+    ("compute", "digits.json", '{"entity": "E", "publications": [{"id": "p", "year": 2000, '
+                               '"citation_count": ' + "9" * 5000 + "}]}",
+     "integer literal too long"),
+    ("compute", "count.json", _json_with({"id": "p", "year": 2000, "citation_count": _BIG}),
+     f"citation_count {_FIT}"),
+    ("compute", "authors.json", _json_with({"id": "p", "year": 2000, "author_count": _BIG,
+                                            "citation_count": 1}),
+     f"author_count {_FIT}"),
+    ("compute", "year.json", _json_with({"id": "p", "year": -_BIG, "citation_count": 1}),
+     f"year {_FIT}"),
+    ("compute", "event.json", _json_with({"id": "p", "year": 2000,
+                                          "citation_events": [{"year": _BIG}]}),
+     f"citation event year {_FIT}"),
+    ("compute", "count.csv", f"id,year,author_count,citation_count\np,2000,1,{_BIG}\n",
+     f"citation_count {_FIT}"),
+    ("compute", "event.csv", "pub_id,pub_year,author_count,cite_year,citing_authors\n"
+                             f"p,2000,1,{_BIG},\n", f"citation event year {_FIT}"),
+    ("compute", "wide.csv", "id,year,author_count,citation_count\n" + "p" * 200_000
+                            + ",2000,1,3\n", "wide.csv: field larger than field limit"),
+    ("status", "wide.csv", "entity,n_p,h\n" + "e" * 200_000 + ",10,5\n",
+     "field larger than field limit"),
+    ("status", "big.csv", f"entity,n_p,h\na,{_BIG},1\nb,2,1\nc,3,2\n", f"n_p {_FIT}"),
+], ids=["status-latin1", "nested-json", "5000-digits", "json-citation-count",
+        "json-author-count", "json-year", "json-event-year", "counts-csv", "events-csv",
+        "csv-field-limit", "status-field-limit", "status-n_p"])
+def test_parse_boundary_inputs_are_input_errors(capsys, tmp_path, command, name, text,
+                                                message):
+    path = tmp_path / name
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code, out, err = _run(capsys, [command, "--input", str(path)])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("alpha, shown", [("nan", "nan"), ("1e308", "inf")])
+def test_non_finite_values_render_in_tables(capsys, equal_h_paths, alpha, shown):
+    code, out, err = _run(capsys, ["compute", "--input", str(equal_h_paths["A"]),
+                                   "--indices", "h_alpha", "--alpha", alpha])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"h_alpha  {shown}"
 
 
 @pytest.mark.parametrize("name, text, message", [
