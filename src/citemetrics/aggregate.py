@@ -5,16 +5,16 @@ time-dependent form, and the extreme-value H over a survival function) and a
 seeded stochastic career simulator (Poisson publication counts with
 gamma-mixed per-paper citation rates).  Simulation output is deterministic
 for a given seed; the generator is numpy's default PCG64, with one spawned
-child stream per career so careers stay independent.
+child stream per career so careers stay independent.  numpy is imported
+only when a simulation runs, so the other commands start without it.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .core import a_index, h_core_sum, h_index
 from .errors import DomainError, UndefinedInputError
@@ -148,6 +148,13 @@ def glanzel_H(tail, n):
     return best
 
 
+# Largest expected ensemble, in career-years plus publications plus citation
+# events (SimConfig.expected_size), that a simulation may draw.  Each drawn
+# item is a Python object, so this bounds time and memory; the default
+# config draws about 140,000.
+MAX_SIMULATION_SIZE = 5_000_000
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Career-simulation knobs.
@@ -182,6 +189,26 @@ class SimConfig:
             raise DomainError("ageing_b must lie in (0, 1)")
         if self.citation_rate_scale < 0:
             raise DomainError("citation_rate_scale must be non-negative")
+        # Career-years alone are counted in exact integers first, so that
+        # the float estimate cannot overflow.
+        size = (self.expected_size()
+                if self.careers * (self.career_years + 1) <= 2 * MAX_SIMULATION_SIZE
+                else math.inf)
+        if not size <= MAX_SIMULATION_SIZE:  # also rejects NaN knobs
+            raise DomainError(
+                f"expected simulation size {size:.3g} (career-years, publications "
+                f"and citation events) exceeds {MAX_SIMULATION_SIZE:,}")
+
+    def expected_size(self):
+        """Expected career-years plus publications plus citation events the
+        ensemble draws.  A career lasts (career_years + 1) / 2 years on
+        average, a publication from year y of an L-year career collects
+        citations for L - y + 1 years, and E[L(L+1)/2] = (Y+1)(Y+2)/6."""
+        career_years = self.careers * (self.career_years + 1) / 2
+        publications = career_years * self.pub_rate
+        mean_rate = self.gamma_shape / self.gamma_rate * self.citation_rate_scale
+        return (career_years + publications
+                + publications * mean_rate * (self.career_years + 2) / 3)
 
 
 @dataclass(frozen=True)
@@ -200,6 +227,8 @@ class CareerSummary:
 def burrell_simulate(config):
     """Run the career ensemble; returns (records, summaries), both ordered by
     career index and reproducible field for field from the seed."""
+    import numpy as np
+
     root = np.random.SeedSequence(config.seed)
     records = []
     summaries = []

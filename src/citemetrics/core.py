@@ -193,11 +193,14 @@ def rmcv_index(v):
 
 
 def h_alpha_predict(h, n_c, alpha=-0.1):
-    """Predictive index sqrt(h**2 + alpha*N_c); a negative radicand is an
-    error, reported rather than clamped."""
+    """Predictive index sqrt(h**2 + alpha*N_c); a negative or non-finite
+    radicand is an error, reported rather than clamped."""
     radicand = h * h + alpha * n_c
     if radicand < 0:
         raise DomainError(
             f"predictive radicand h^2 + alpha*N_c is negative ({radicand:g})")
+    if not math.isfinite(radicand):
+        raise DomainError(
+            f"predictive radicand h^2 + alpha*N_c is not finite ({radicand:g})")
     return math.sqrt(radicand)
 

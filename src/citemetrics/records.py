@@ -14,7 +14,9 @@ fail loudly with FidelityError instead of silently approximating.
 from __future__ import annotations
 
 import csv
+import gc
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,7 +39,7 @@ def normalize_author(name):
     return name.strip().casefold()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CitationEvent:
     """One citation: the year it was made and, optionally, who made it."""
 
@@ -45,7 +47,7 @@ class CitationEvent:
     citing_authors: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Publication:
     id: str
     year: int
@@ -111,6 +113,9 @@ class IndexConfig:
             raise ValueError("gamma must be positive and finite")
         if not self.delta >= 0:
             raise ValueError("delta must be non-negative")
+        for name in ("delta", "alpha_predictive", "beta_molinari"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.now_year is not None and not INT64_MIN <= self.now_year <= INT64_MAX:
             raise ValueError("now_year must be a signed 64-bit integer")
 
@@ -153,16 +158,10 @@ def validate_record(record):
                 raise RecordValidationError(
                     f"publication {pub.id!r}: citation_count {pub.citation_count} "
                     f"does not match {len(pub.citation_events)} citation events")
-        if pub.citation_events is not None:
-            for event in pub.citation_events:
-                if event.year > INT64_MAX:  # the year check below bounds it from below
-                    raise RecordValidationError(
-                        f"publication {pub.id!r}: citation event year does not fit "
-                        "in a signed 64-bit integer")
-                if event.year < pub.year:
-                    raise RecordValidationError(
-                        f"publication {pub.id!r}: citation event year {event.year} "
-                        f"precedes publication year {pub.year}")
+        if pub.citation_events:
+            years = [e.year for e in pub.citation_events]
+            if max(years) > INT64_MAX or min(years) < pub.year:
+                _raise_first_event_error(pub)
         if pub.author_count is not None and pub.author_count < 1:
             raise RecordValidationError(
                 f"publication {pub.id!r}: author_count must be at least 1")
@@ -170,6 +169,18 @@ def validate_record(record):
             raise RecordValidationError(
                 f"publication {pub.id!r}: author_count smaller than the author list")
     return record
+
+
+def _raise_first_event_error(pub):
+    for event in pub.citation_events:
+        if event.year > INT64_MAX:  # the year check below bounds it from below
+            raise RecordValidationError(
+                f"publication {pub.id!r}: citation event year does not fit "
+                "in a signed 64-bit integer")
+        if event.year < pub.year:
+            raise RecordValidationError(
+                f"publication {pub.id!r}: citation event year {event.year} "
+                f"precedes publication year {pub.year}")
 
 
 def resolve_now_year(record, config=None):
@@ -259,6 +270,27 @@ def _require(condition, message):
         raise RecordParseError(message)
 
 
+def _all_str(items):
+    """Whether every item is a str; join makes the cheapest such test."""
+    try:
+        "".join(items)
+    except TypeError:
+        return False
+    return True
+
+
+def _event_from_dict(raw_event, where):
+    _require(isinstance(raw_event, dict), f"{where}: must be an object")
+    unknown = set(raw_event) - _EVENT_KEYS
+    if unknown:
+        raise RecordParseError(f"{where}: unknown field {sorted(unknown)[0]!r}")
+    _require(type(raw_event.get("year")) is int, f"{where}: field 'year' must be an integer")
+    citing = raw_event.get("citing_authors", [])
+    _require(isinstance(citing, list) and all(isinstance(a, str) for a in citing),
+             f"{where}: field 'citing_authors' must be a list of strings")
+    return CitationEvent(year=raw_event["year"], citing_authors=tuple(citing))
+
+
 def record_from_dict(data, source="<memory>"):
     """Build and validate a CitationRecord from the JSON-shaped dict."""
     _require(isinstance(data, dict), f"{source}: record must be a JSON object")
@@ -298,19 +330,17 @@ def record_from_dict(data, source="<memory>"):
                      f"{where}: field 'citation_events' must be a list")
             events = []
             for j, raw_event in enumerate(raw_events):
-                ewhere = f"{where}.citation_events[{j}]"
-                _require(isinstance(raw_event, dict), f"{ewhere}: must be an object")
-                unknown = set(raw_event) - _EVENT_KEYS
-                if unknown:
-                    raise RecordParseError(
-                        f"{ewhere}: unknown field {sorted(unknown)[0]!r}")
-                _require(type(raw_event.get("year")) is int,
-                         f"{ewhere}: field 'year' must be an integer")
-                citing = raw_event.get("citing_authors", [])
-                _require(isinstance(citing, list) and all(isinstance(a, str) for a in citing),
-                         f"{ewhere}: field 'citing_authors' must be a list of strings")
-                events.append(CitationEvent(year=raw_event["year"],
-                                            citing_authors=tuple(citing)))
+                # Exact-type fast test; anything else takes the checked path,
+                # which builds the error message or accepts subclasses.
+                if type(raw_event) is dict and type(raw_event.get("year")) is int:
+                    if len(raw_event) == 1:
+                        events.append(CitationEvent(raw_event["year"]))
+                        continue
+                    citing = raw_event.get("citing_authors")
+                    if len(raw_event) == 2 and type(citing) is list and _all_str(citing):
+                        events.append(CitationEvent(raw_event["year"], tuple(citing)))
+                        continue
+                events.append(_event_from_dict(raw_event, f"{where}.citation_events[{j}]"))
             events = tuple(events)
         pubs.append(Publication(
             id=raw["id"], year=raw["year"], authors=tuple(authors),
@@ -368,51 +398,58 @@ def _parse_counts_csv(path, rows):
     pubs = []
     for lineno, row in rows:
         where = f"{path}: line {lineno}"
-        if row.get(None) is not None or any(v is None for v in row.values()):
+        if len(row) != len(_COUNTS_CSV_HEADER):
             raise RecordParseError(f"{where}: wrong number of columns")
+        raw_id, raw_year, raw_author_count, raw_citation_count = row
         pubs.append(Publication(
-            id=row["id"].strip(),
-            year=_parse_int(row["year"], where, "year"),
-            author_count=_parse_int(row["author_count"], where, "author_count",
+            id=raw_id.strip(),
+            year=_parse_int(raw_year, where, "year"),
+            author_count=_parse_int(raw_author_count, where, "author_count",
                                     required=False),
-            citation_count=_parse_int(row["citation_count"], where, "citation_count")))
+            citation_count=_parse_int(raw_citation_count, where, "citation_count")))
     return pubs
 
 
 def _parse_events_csv(path, rows):
-    order = []
-    meta = {}
-    events = {}
+    # pub_id -> (raw pub_year, raw author_count, pub_year, author_count, events),
+    # in order of first appearance.  A later row whose raw fields repeat the
+    # first row's needs no parsing; any other row is parsed and compared.
+    pubs = {}
     for lineno, row in rows:
-        where = f"{path}: line {lineno}"
-        if row.get(None) is not None or any(v is None for v in row.values()):
-            raise RecordParseError(f"{where}: wrong number of columns")
-        pub_id = row["pub_id"].strip()
-        year = _parse_int(row["pub_year"], where, "pub_year")
-        author_count = _parse_int(row["author_count"], where, "author_count",
-                                  required=False)
-        if pub_id not in meta:
-            order.append(pub_id)
-            meta[pub_id] = (year, author_count)
-            events[pub_id] = []
-        elif meta[pub_id] != (year, author_count):
-            raise RecordParseError(
-                f"{where}: publication {pub_id!r} repeats with different "
-                "pub_year/author_count")
-        cite_year = _parse_int(row["cite_year"], where, "cite_year", required=False)
-        if cite_year is None:
-            continue  # zero-citation publication, listed once with empty cite_year
-        citing = tuple(a.strip() for a in row["citing_authors"].split(";") if a.strip())
-        events[pub_id].append(CitationEvent(year=cite_year, citing_authors=citing))
-    return [Publication(id=pid, year=meta[pid][0], author_count=meta[pid][1],
-                        citation_events=tuple(events[pid]))
-            for pid in order]
+        if len(row) != len(_EVENTS_CSV_HEADER):
+            raise RecordParseError(f"{path}: line {lineno}: wrong number of columns")
+        raw_id, raw_year, raw_author_count, raw_cite_year, raw_citing = row
+        pub_id = raw_id.strip()
+        pub = pubs.get(pub_id)
+        if pub is None or pub[0] != raw_year or pub[1] != raw_author_count:
+            where = f"{path}: line {lineno}"
+            year = _parse_int(raw_year, where, "pub_year")
+            author_count = _parse_int(raw_author_count, where, "author_count",
+                                      required=False)
+            if pub is None:
+                pub = pubs[pub_id] = (raw_year, raw_author_count, year, author_count, [])
+            elif pub[2:4] != (year, author_count):
+                raise RecordParseError(
+                    f"{where}: publication {pub_id!r} repeats with different "
+                    "pub_year/author_count")
+        try:
+            cite_year = int(raw_cite_year)  # int() strips the same whitespace
+        except ValueError:
+            cite_year = _parse_int(raw_cite_year, f"{path}: line {lineno}", "cite_year",
+                                   required=False)
+            if cite_year is None:
+                continue  # zero-citation publication, listed once with empty cite_year
+        citing = tuple(filter(None, map(str.strip, raw_citing.split(";"))))
+        pub[4].append(CitationEvent(cite_year, citing))
+    return [Publication(id=pub_id, year=year, author_count=author_count,
+                        citation_events=tuple(events))
+            for pub_id, (_, _, year, author_count, events) in pubs.items()]
 
 
 def _parse_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
+        reader = csv.reader(fh)
+        header = next(reader, None)
         if header == _COUNTS_CSV_HEADER:
             parser = _parse_counts_csv
         elif header == _EVENTS_CSV_HEADER:
@@ -420,7 +457,8 @@ def _parse_csv(path):
         else:
             raise RecordParseError(
                 f"{path}: line 1: unrecognized CSV header {header!r}")
-        pubs = parser(path, ((lineno, row) for lineno, row in enumerate(reader, start=2)))
+        # Blank rows are skipped and not counted, as csv.DictReader does.
+        pubs = parser(path, enumerate(filter(None, reader), start=2))
     record = CitationRecord(entity=Path(path).stem, publications=tuple(pubs))
     return validate_record(record)
 
@@ -428,7 +466,19 @@ def _parse_csv(path):
 def parse_record(path, format=None):
     """Read a record file (JSON or CSV, inferred from the suffix when format
     is not given) and return a validated CitationRecord."""
-    path = Path(path)
+    # Cyclic garbage collection is paused while the record is built: parsing
+    # makes many small acyclic, immutable objects, which collection passes
+    # over the growing heap would only rescan.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_record(Path(path), format)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _read_record(path, format):
     if format is None:
         suffix = path.suffix.lower()
         format = {"": None, ".json": "json", ".csv": "csv"}.get(suffix)

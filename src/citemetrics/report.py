@@ -217,7 +217,8 @@ def report_to_jsonable(report):
 
 
 def render_json(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # allow_nan=False: NaN and Infinity are not JSON; every value is finite.
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def render_report(report, fmt):

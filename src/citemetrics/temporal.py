@@ -7,11 +7,17 @@ year has age 1, so decay weights never divide by zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import sqrt
 
 from .core import h_index
 from .errors import DomainError, FidelityError, UndefinedInputError
 from .records import IndexConfig, citation_vector, filter_self_citations, resolve_now_year
+
+# Most windows h_sequence (and so each h_matrix row) computes: a record whose
+# publication years span more years than this is a DomainError.  Four
+# centuries of a journal's output fit many times over.
+MAX_SEQUENCE_WINDOWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -156,24 +162,40 @@ def _windowed_count(pub, cutoff):
 
 def h_sequence(record, config=None, truncate_events_to_now=False):
     """h over publication-year windows growing back from the last publication
-    year.  Citation counts are the record's totals; with
-    truncate_events_to_now only events dated up to now_year are counted
-    (event-level data required)."""
+    year, one window per year (at most MAX_SEQUENCE_WINDOWS).  Citation
+    counts are the record's totals; with truncate_events_to_now only events
+    dated up to now_year are counted (event-level data required).
+
+    One pass over the publications, newest first: each window adds the
+    publications of its start year, and h, which never falls as a window
+    grows, rises while more than h counts exceed h."""
     config = _config(config)
     require_publications(record)
     filtered = filter_self_citations(record, config.self_citation_mode)
     cutoff = resolve_now_year(filtered, config) if truncate_events_to_now else None
-    last = max(p.year for p in filtered.publications)
-    first = min(p.year for p in filtered.publications)
-    counts = {p.id: _windowed_count(p, cutoff) for p in filtered.publications}
-    starts = []
+    dated = sorted(((p.year, _windowed_count(p, cutoff)) for p in filtered.publications),
+                   reverse=True)
+    last, first = dated[0][0], dated[-1][0]
+    if last - first + 1 > MAX_SEQUENCE_WINDOWS:
+        raise DomainError(
+            f"record {record.entity!r}: publication years {first}..{last} span more "
+            f"than {MAX_SEQUENCE_WINDOWS:,} windows")
+    h = 0
+    above = []  # min-heap of the window's counts that exceed h
     values = []
+    i = 0
     for start in range(last, first - 1, -1):
-        in_window = [counts[p.id] for p in filtered.publications
-                     if start <= p.year <= last]
-        starts.append(start)
-        values.append(h_index(in_window))
-    return HSequence(end_year=last, start_years=tuple(starts), values=tuple(values))
+        while i < len(dated) and dated[i][0] == start:
+            if dated[i][1] > h:
+                heappush(above, dated[i][1])
+            i += 1
+        while len(above) > h:
+            h += 1
+            while above and above[0] <= h:
+                heappop(above)
+        values.append(h)
+    return HSequence(end_year=last, start_years=tuple(range(last, first - 1, -1)),
+                     values=tuple(values))
 
 
 def h_matrix(records, config=None, truncate_events_to_now=False):

@@ -44,8 +44,10 @@ class FieldProfile:
     chi: float
 
     def __post_init__(self):
-        if self.chi <= 0:
+        if not self.chi > 0:  # also rejects NaN
             raise DomainError(f"field {self.name!r}: chi must be positive")
+        if self.chi == math.inf:
+            raise DomainError(f"field {self.name!r}: chi must be finite")
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,12 @@ class CohortPoint:
         if self.h > self.n_p:
             raise RecordValidationError(
                 f"{self.entity!r}: h ({self.h}) exceeds publication count ({self.n_p})")
+
+
+def _finite(value, what):
+    if not math.isfinite(value):
+        raise DomainError(f"{what} is not finite ({value:g})")
+    return value
 
 
 def impact_factor(window):
@@ -90,17 +98,19 @@ def impact_index_hm(h, n, beta=0.4):
     """Size-corrected journal/institution impact h / N**beta."""
     if n < 1:
         raise UndefinedInputError("impact index needs at least one article")
-    return h / n ** beta
+    if not math.isfinite(beta):
+        raise DomainError("impact index needs a finite beta")
+    return _finite(h / n ** beta, "impact index")
 
 
 def field_factor(reference, field):
     """(chi_reference / chi_field)**(2/3)."""
-    return (reference.chi / field.chi) ** (2.0 / 3.0)
+    return _finite((reference.chi / field.chi) ** (2.0 / 3.0), "field factor")
 
 
 def field_normalized_h(h, field, reference):
     """Rescale h so that fields with different citation densities compare."""
-    return field_factor(reference, field) * h
+    return _finite(field_factor(reference, field) * h, "normalized h")
 
 
 def theoretical_h_estimate(n_p, chi, literal_radical=False):
@@ -111,11 +121,13 @@ def theoretical_h_estimate(n_p, chi, literal_radical=False):
     """
     if n_p < 1:
         raise DomainError("theoretical h estimate needs at least one paper")
-    if chi <= 0:
+    if not chi > 0:  # also rejects NaN
         raise DomainError("theoretical h estimate needs chi > 0")
     if literal_radical:
-        return ((n_p / 4.0) * chi ** (2.0 / 3.0)) ** (1.0 / 3.0)
-    return (n_p * chi * chi / 4.0) ** (1.0 / 3.0)
+        estimate = ((n_p / 4.0) * chi ** (2.0 / 3.0)) ** (1.0 / 3.0)
+    else:
+        estimate = (n_p * chi * chi / 4.0) ** (1.0 / 3.0)
+    return _finite(estimate, "theoretical h estimate")
 
 
 def _as_points(cohort):

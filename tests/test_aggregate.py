@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from citemetrics import (CitationRecord, DomainError, Publication, SimConfig,
                          TailFunction, UndefinedInputError, burrell_simulate,
                          citation_vector, dynamic_h, glanzel_H, group_hc,
                          group_hp, h_index, lotkaian_h, successive_h)
+from citemetrics.aggregate import MAX_SIMULATION_SIZE
+from citemetrics.cli import main
 
 
 def _member(entity, counts):
@@ -113,6 +116,34 @@ def test_simulation_is_deterministic():
     records_b, summaries_b = burrell_simulate(config)
     assert records_a == records_b
     assert summaries_a == summaries_b
+
+
+def test_simulation_expected_size_matches_draws():
+    config = SimConfig(seed=1, careers=400, career_years=12)
+    records, summaries = burrell_simulate(config)
+    drawn = sum(s.years + s.n_p + s.n_c for s in summaries)
+    assert drawn == pytest.approx(config.expected_size(), rel=0.1)
+
+
+@pytest.mark.parametrize("knobs", [
+    {"pub_rate": 1e9}, {"pub_rate": math.inf}, {"pub_rate": math.nan},
+    {"gamma_shape": math.nan}, {"citation_rate_scale": math.nan},
+    {"citation_rate_scale": 1e9}, {"careers": 10 ** 400}, {"career_years": 10 ** 400},
+    {"careers": MAX_SIMULATION_SIZE},
+], ids=["pub-rate", "pub-rate-inf", "pub-rate-nan", "shape-nan", "scale-nan",
+        "scale", "careers-huge", "years-huge", "careers"])
+def test_oversized_simulation_is_rejected_before_drawing(knobs):
+    with pytest.raises(DomainError, match="expected simulation size"):
+        SimConfig(**knobs)
+
+
+def test_simulate_cli_refuses_oversized_ensemble(capsys):
+    started = time.perf_counter()
+    code = main(["simulate", "--pub-rate", "1e9"])
+    assert time.perf_counter() - started < 1.0
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err.startswith("error: expected simulation size 6.92e+13 ") and err.count("\n") == 1
 
 
 def test_simulation_zero_rate_scale_kills_citations():

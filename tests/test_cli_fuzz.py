@@ -1,6 +1,7 @@
 """CLI fuzz gate: whatever the input file and flags, a run ends with exit
-code 0, 2, 3 or 4, never with an uncaught exception, and an input or domain
-error is reported on one `error:` line."""
+code 0, 2, 3 or 4, never with an uncaught exception, an input or domain
+error is reported on one `error:` line, and JSON output is strict JSON
+(no NaN or Infinity)."""
 
 import contextlib
 import io
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from citemetrics.cli import main
 from citemetrics.records import KINDS
+from conftest import FIXTURES
 
 _INT = st.integers(min_value=-10 ** 400, max_value=10 ** 400)
 _AUTHOR = st.sampled_from(["O. Wner", "o. wner ", "C. Oauthor", "R. Eader"])
@@ -37,6 +39,10 @@ _RECORD_FLAGS = st.tuples(
 ).map(lambda flags: sum(flags, []))
 
 
+def _reject_constant(token):
+    raise AssertionError(f"{token} is not JSON")
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -47,15 +53,26 @@ def _run(argv):
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     if code in (3, 4):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    if code == 0 and "--format=json" in argv:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
     return code
 
 
 @given(record=_RECORD, flags=_RECORD_FLAGS, strict=st.booleans(),
-       alpha=_flag("--alpha", _FLOAT))
-def test_compute_on_schema_shaped_records(tmp_path_factory, record, flags, strict, alpha):
+       alpha=_flag("--alpha", _FLOAT), beta=_flag("--beta", _FLOAT))
+def test_compute_on_schema_shaped_records(tmp_path_factory, record, flags, strict, alpha,
+                                          beta):
     path = tmp_path_factory.mktemp("fuzz") / "record.json"
     path.write_text(json.dumps(record))
-    _run(["compute", "--input", str(path), *flags, *alpha] + ["--strict"] * strict)
+    _run(["compute", "--input", str(path), *flags, *alpha, *beta] + ["--strict"] * strict)
+
+
+@given(path=st.sampled_from([FIXTURES / "equal_h_cohort" / "A.json",
+                             FIXTURES / "classified_authors" / "ACE.json"]),
+       flags=_RECORD_FLAGS, alpha=_flag("--alpha", _FLOAT), beta=_flag("--beta", _FLOAT),
+       gamma=_flag("--gamma", _FLOAT))
+def test_compute_json_on_valid_records(path, flags, alpha, beta, gamma):
+    _run(["compute", "--input", str(path), *flags, *alpha, *beta, *gamma, "--format=json"])
 
 
 @given(record=_RECORD, flags=_RECORD_FLAGS, truncate=st.booleans())
@@ -80,4 +97,4 @@ def test_compute_on_arbitrary_bytes(tmp_path_factory, data, suffix, header):
 def test_status_on_arbitrary_bytes(tmp_path_factory, data, header, fmt):
     path = tmp_path_factory.mktemp("fuzz") / "cohort.csv"
     path.write_bytes(header + data)
-    _run(["status", "--input", str(path), "--format", fmt])
+    _run(["status", "--input", str(path), f"--format={fmt}"])

@@ -1,4 +1,8 @@
+import csv
+import dataclasses
+import gc
 import json
+import pickle
 import random
 
 import pytest
@@ -10,6 +14,7 @@ from citemetrics import (CitationEvent, CitationRecord, FidelityError,
                          filter_self_citations, parse_record, record_from_dict,
                          record_to_dict, resolve_now_year, totals,
                          validate_record, write_record)
+from citemetrics import records
 
 
 def _rec(*pubs, entity="X", owner=None):
@@ -302,3 +307,188 @@ records_strategy = st.builds(
 def test_serialize_parse_round_trip(record):
     validate_record(record)
     assert record_from_dict(record_to_dict(record)) == record
+
+
+# ---------------------------------------------------------------------------
+# Parser messages, round trips and the slotted record model
+
+_EVENTS_HEADER = "pub_id,pub_year,author_count,cite_year,citing_authors\n"
+_COUNTS_HEADER = "id,year,author_count,citation_count\n"
+
+
+@pytest.mark.parametrize("body, line, message", [
+    (_EVENTS_HEADER + "p1,2000,2,2001\n", 2, "wrong number of columns"),
+    (_EVENTS_HEADER + "p1,2000,2,2001,A,extra\n", 2, "wrong number of columns"),
+    (_EVENTS_HEADER + "p1,2000,2,2001,\n\n\np1,2000,2,x,\n", 3,
+     "field 'cite_year' is not an integer: 'x'"),
+    (_EVENTS_HEADER + "p1,2000,2,2001,\np1, 2000 ,2,2002,\np1,1999,2,2002,\n", 4,
+     "publication 'p1' repeats with different pub_year/author_count"),
+    (_EVENTS_HEADER + "p1,2000,2,2001,\np1,2000,3,2002,\n", 3,
+     "publication 'p1' repeats with different pub_year/author_count"),
+    (_EVENTS_HEADER + "p1,2000,2,2001,\np1,20x0,2,2002,\n", 3,
+     "field 'pub_year' is not an integer: '20x0'"),
+    (_EVENTS_HEADER + "p1,2000,2,20x1,\n", 2, "field 'cite_year' is not an integer: '20x1'"),
+    (_EVENTS_HEADER + "p1, ,2,2001,\n", 2, "missing value for 'pub_year'"),
+    (_COUNTS_HEADER + "p1,2000,1\n", 2, "wrong number of columns"),
+    (_COUNTS_HEADER + "p1,2000,1,3\n\np2,2000,1,\n", 3, "missing value for 'citation_count'"),
+], ids=["short-row", "long-row", "blank-line-before-bad-row", "repeated-pub-year",
+        "repeated-author-count", "repeated-bad-pub-year", "bad-cite-year", "blank-pub-year",
+        "counts-short-row", "counts-blank-line"])
+def test_csv_parse_messages_are_pinned(tmp_path, body, line, message):
+    path = tmp_path / "rec.csv"
+    path.write_text(body)
+    with pytest.raises(RecordParseError) as exc:
+        parse_record(path)
+    assert str(exc.value) == f"{path}: line {line}: {message}"
+
+
+def test_events_csv_repeats_compare_parsed_values(tmp_path):
+    path = tmp_path / "rec.csv"
+    path.write_text(_EVENTS_HEADER + "p1,2000,2,2001, A ;;B\n p1 , 2000,02, 2002 ,\n"
+                    "p2,2001,,,\n")
+    p1, p2 = parse_record(path).publications
+    assert p1 == Publication(id="p1", year=2000, author_count=2, citation_events=(
+        CitationEvent(2001, ("A", "B")), CitationEvent(2002)))
+    assert p2 == Publication(id="p2", year=2001, citation_events=())
+
+
+@pytest.mark.parametrize("event, message", [
+    (5, "must be an object"),
+    ({"year": 2001, "when": 1}, "unknown field 'when'"),
+    ({"year": 2001, "citing_authors": ["A"], "when": 1}, "unknown field 'when'"),
+    ({"year": True}, "field 'year' must be an integer"),
+    ({"citing_authors": []}, "field 'year' must be an integer"),
+    ({"year": 2001, "citing_authors": "A"}, "field 'citing_authors' must be a list of strings"),
+    ({"year": 2001, "citing_authors": ["A", 1]},
+     "field 'citing_authors' must be a list of strings"),
+    ({"year": 2001, "citing_authors": None}, "field 'citing_authors' must be a list of strings"),
+], ids=["not-object", "unknown-field", "unknown-third-field", "bool-year", "no-year", "authors-string",
+        "authors-mixed", "authors-null"])
+def test_json_event_messages_are_pinned(tmp_path, event, message):
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps({"entity": "E", "publications": [
+        {"id": "p", "year": 2000, "citation_events": [{"year": 2000}, event]}]}))
+    with pytest.raises(RecordParseError) as exc:
+        parse_record(path)
+    assert str(exc.value) == f"{path}: publications[0].citation_events[1]: {message}"
+
+
+def test_json_events_accept_subclasses_in_memory():
+    class Name(str):
+        pass
+
+    class Event(dict):
+        pass
+
+    data = {"entity": "E", "publications": [{"id": "p", "year": 2000, "citation_events": [
+        Event(year=2001), {"year": 2002, "citing_authors": [Name("A")]}]}]}
+    (pub,) = record_from_dict(data).publications
+    assert pub.citation_events == (CitationEvent(2001), CitationEvent(2002, ("A",)))
+
+
+@pytest.mark.parametrize("years, message", [
+    ((2001, 1999, 2 ** 63), "citation event year 1999 precedes publication year 2000"),
+    ((2001, 2 ** 63, 1999), "citation event year does not fit in a signed 64-bit integer"),
+])
+def test_first_failing_event_is_named(years, message):
+    pub = Publication(id="p", year=2000,
+                      citation_events=tuple(CitationEvent(y) for y in years))
+    with pytest.raises(RecordValidationError) as exc:
+        validate_record(_rec(pub))
+    assert str(exc.value) == f"publication 'p': {message}"
+
+
+_CSV_TEXT = st.text(alphabet='Ab,"x. ', min_size=1, max_size=5).map(str.strip).filter(bool)
+
+_round_trip_pubs = st.lists(
+    st.tuples(st.integers(min_value=1990, max_value=2000),
+              st.lists(st.text(alphabet="ABx. ", min_size=1, max_size=4)
+                       .map(str.strip).filter(bool), max_size=3),
+              st.one_of(st.none(), st.integers(min_value=0, max_value=2)),
+              st.lists(st.tuples(st.integers(min_value=0, max_value=4),
+                                 st.lists(_CSV_TEXT.filter(lambda a: ";" not in a),
+                                          max_size=3)),
+                       max_size=4)),
+    max_size=6)
+
+
+@given(ids=st.lists(_CSV_TEXT, unique=True, min_size=6, max_size=6), pubs=_round_trip_pubs,
+       owner=st.sampled_from([None, "A"]))
+def test_write_parse_round_trips_in_every_layout(tmp_path_factory, ids, pubs, owner):
+    pubs = [(pid, year, tuple(authors),
+             None if extra is None else len(authors) + max(extra, 1 - len(authors)),
+             tuple(CitationEvent(year + offset, tuple(citing)) for offset, citing in events))
+            for pid, (year, authors, extra, events) in zip(ids, pubs)]
+    out = tmp_path_factory.mktemp("round_trip")
+
+    record = CitationRecord(entity="E", kind="journal", owner_name=owner, publications=tuple(
+        Publication(id=pid, year=year, authors=authors, author_count=count,
+                    citation_count=len(events) if count else None, citation_events=events)
+        for pid, year, authors, count, events in pubs))
+    write_record(record, out / "E.json")
+    assert parse_record(out / "E.json") == record
+
+    with open(out / "events.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_EVENTS_HEADER.strip().split(","))
+        for pid, year, _, count, events in pubs:
+            writer.writerows([pid, year, count, e.year, ";".join(e.citing_authors)]
+                             for e in events)
+            if not events:
+                writer.writerow([pid, year, count, "", ""])
+    assert parse_record(out / "events.csv") == _rec(*(
+        Publication(id=pid, year=year, author_count=count, citation_events=events)
+        for pid, year, _, count, events in pubs), entity="events")
+
+    with open(out / "counts.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_COUNTS_HEADER.strip().split(","))
+        writer.writerows([pid, year, count, len(events)] for pid, year, _, count, events in pubs)
+    assert parse_record(out / "counts.csv") == _rec(*(
+        Publication(id=pid, year=year, author_count=count, citation_count=len(events))
+        for pid, year, _, count, events in pubs), entity="counts")
+
+
+def test_record_model_is_slotted_and_frozen():
+    event = CitationEvent(2001, ("A",))
+    pub = Publication(id="p", year=2000, authors=("A",), citation_events=(event,))
+    for obj, twin in ((event, CitationEvent(2001, ("A",))),
+                      (pub, Publication(id="p", year=2000, authors=("A",),
+                                        citation_events=(CitationEvent(2001, ("A",)),)))):
+        assert not hasattr(obj, "__dict__")
+        assert obj == twin and hash(obj) == hash(twin) and len({obj, twin}) == 1
+        assert pickle.loads(pickle.dumps(obj)) == obj
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.year = 1999
+        # A name that is not a field has no slot; the frozen __setattr__
+        # refuses it with TypeError on some Python versions.
+        with pytest.raises((AttributeError, TypeError)):
+            obj.note = "x"
+    assert dataclasses.replace(event, year=2002) == CitationEvent(2002, ("A",))
+    moved = dataclasses.replace(pub, year=1999)
+    assert (moved.year, moved.citation_events, pub.year) == (1999, (event,), 2000)
+    assert CitationEvent(2001, ("A",)) != CitationEvent(2001)
+
+
+def test_parse_record_pauses_gc_and_restores_it(tmp_path, monkeypatch, equal_h_paths):
+    states = []
+
+    def spy(record):
+        states.append(gc.isenabled())
+        return validate_record(record)
+
+    monkeypatch.setattr(records, "validate_record", spy)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            parse_record(equal_h_paths["A"])
+            assert gc.isenabled() is enabled
+            with pytest.raises(RecordParseError):
+                parse_record(bad)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert states == [False, False]

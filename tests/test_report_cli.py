@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -476,7 +478,10 @@ def test_usage_errors_exit_2(capsys, equal_h_paths):
 
 @pytest.mark.parametrize("flags", [["--gamma", "0"], ["--delta", "-1"],
                                    ["--gamma", "nan"], ["--gamma", "inf"],
-                                   ["--delta", "nan"], ["--now-year", str(10 ** 400)]])
+                                   ["--delta", "nan"], ["--delta", "inf"],
+                                   ["--alpha", "nan"], ["--alpha", "inf"],
+                                   ["--beta", "nan"], ["--beta=-inf"],
+                                   ["--now-year", str(10 ** 400)]])
 def test_bad_config_values_are_usage_errors(capsys, equal_h_paths, flags):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--input", str(equal_h_paths["A"])] + flags)
@@ -543,11 +548,61 @@ def test_parse_boundary_inputs_are_input_errors(capsys, tmp_path, command, name,
 
 
 @pytest.mark.parametrize("alpha, shown", [("nan", "nan"), ("1e308", "inf")])
-def test_non_finite_values_render_in_tables(capsys, equal_h_paths, alpha, shown):
-    code, out, err = _run(capsys, ["compute", "--input", str(equal_h_paths["A"]),
-                                   "--indices", "h_alpha", "--alpha", alpha])
+def test_non_finite_values_render_in_tables(equal_h_records, alpha, shown):
+    # The CLI rejects these alphas now (see the tests around this one); the
+    # table renderer still prints a non-finite value a library caller reports.
+    value = float(alpha) * 10  # NaN stays NaN, 1e308 overflows to inf
+    rep = dataclasses.replace(compute_report(equal_h_records["A"], indices="h_alpha"),
+                              values={"h_alpha": value}, unavailable={})
+    assert report.render_report(rep, "table").splitlines()[-1] == f"h_alpha  {shown}"
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_overflowing_predictive_radicand_is_unavailable(capsys, equal_h_paths):
+    argv = ["compute", "--input", str(equal_h_paths["A"]), "--indices", "h,h_alpha",
+            "--alpha", "1e308", "--format", "json"]
+    code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")
-    assert out.splitlines()[-1] == f"h_alpha  {shown}"
+    assert _strict_json(out)["values"]["h_alpha"] == {
+        "unavailable": "predictive radicand h^2 + alpha*N_c is not finite (inf)"}
+    code, out, err = _run(capsys, argv + ["--strict"])
+    assert (code, out) == (4, "")
+    assert err == "error: predictive radicand h^2 + alpha*N_c is not finite (inf)\n"
+
+
+def test_render_json_refuses_non_finite_values():
+    assert _strict_json(render_json({"x": 1.5})) == {"x": 1.5}
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            render_json({"x": value})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["journal", "--articles", "10", "--citations", "5", "--h", "3", "--beta", "nan"],
+     "impact index needs a finite beta"),
+    (["journal", "--articles", "10", "--citations", "5", "--h", "1000000000",
+      "--beta=-300"], "impact index is not finite (inf)"),
+    (["field", "--h", "3", "--field-chi", "inf", "--reference-chi", "2"],
+     "field 'field': chi must be finite"),
+    (["field", "--h", "3", "--field-chi", "nan", "--reference-chi", "2"],
+     "field 'field': chi must be positive"),
+    (["field", "--h", "3", "--field-chi", "1e-300", "--reference-chi", "1e300"],
+     "field factor is not finite (inf)"),
+    (["field", "--h", "1" + "0" * 200, "--field-chi", "1e-200", "--reference-chi", "1"],
+     "normalized h is not finite (inf)"),
+    (["field", "--np", "3", "--chi", "1e200"], "theoretical h estimate is not finite (inf)"),
+    (["field", "--np", "3", "--chi", "nan"], "theoretical h estimate needs chi > 0"),
+], ids=["beta-nan", "impact-overflow", "chi-inf", "chi-nan", "factor-overflow",
+        "normalized-overflow", "estimate-overflow", "estimate-nan"])
+def test_non_finite_journal_and_field_values_are_domain_errors(capsys, argv, message):
+    code, out, err = _run(capsys, argv + ["--format", "json"])
+    assert (code, out) == (4, "")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("name, text, message", [
@@ -586,6 +641,14 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "impact_factor" in result.stdout
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy is imported by simulate alone; every other command starts without it.
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, citemetrics.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
 
 
 def test_output_flag_writes_file(tmp_path, equal_h_paths):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,9 @@ from citemetrics import (CitationEvent, CitationRecord, DomainError,
                          UndefinedInputError, ar_index, citation_vector,
                          contemporary_h, h_index, h_matrix, h_sequence,
                          m_quotient, normalized_h_output, r_index, trend_h)
+from citemetrics.cli import main
+from citemetrics.temporal import MAX_SEQUENCE_WINDOWS
+from vector_oracles import oracle_sequence
 
 
 def _rec(*pubs, entity="X"):
@@ -166,6 +170,55 @@ def test_h_sequence_truncates_late_events():
     zero_cut = h_sequence(_rec(_events_pub("a", 2005, [2009])),
                           IndexConfig(now_year=2005), truncate_events_to_now=True)
     assert zero_cut.values == (0,)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=-5, max_value=30),
+                          st.integers(min_value=0, max_value=40)),
+                min_size=1, max_size=40))
+def test_h_sequence_matches_oracle(pubs):
+    record = _rec(*[_counts_pub(f"p{i}", year, c) for i, (year, c) in enumerate(pubs)])
+    seq = h_sequence(record)
+    years = [year for year, _ in pubs]
+    assert list(seq.values) == oracle_sequence(years, [c for _, c in pubs])
+    assert seq.start_years == tuple(range(max(years), min(years) - 1, -1))
+
+
+@given(st.lists(st.tuples(st.integers(min_value=2000, max_value=2012),
+                          st.lists(st.integers(min_value=0, max_value=15), max_size=12)),
+                min_size=1, max_size=12),
+       st.integers(min_value=2012, max_value=2030))
+def test_truncated_h_sequence_matches_oracle(pubs, now):
+    record = _rec(*[_events_pub(f"p{i}", year, [year + o for o in offsets])
+                    for i, (year, offsets) in enumerate(pubs)])
+    seq = h_sequence(record, IndexConfig(now_year=now), truncate_events_to_now=True)
+    counts = [sum(1 for o in offsets if year + o <= now) for year, offsets in pubs]
+    assert list(seq.values) == oracle_sequence([year for year, _ in pubs], counts)
+
+
+def test_h_sequence_caps_its_windows():
+    at_cap = _rec(_counts_pub("a", 0, 1), _counts_pub("b", MAX_SEQUENCE_WINDOWS - 1, 1))
+    assert len(h_sequence(at_cap).values) == MAX_SEQUENCE_WINDOWS
+    past_cap = _rec(_counts_pub("a", 0, 1), _counts_pub("b", MAX_SEQUENCE_WINDOWS, 1))
+    with pytest.raises(DomainError, match="span more than"):
+        h_sequence(past_cap)
+    with pytest.raises(DomainError, match="span more than"):
+        h_matrix([at_cap, past_cap])
+
+
+@pytest.mark.parametrize("command", ["sequence", "matrix"])
+def test_huge_year_span_exits_4_quickly(capsys, tmp_path, command):
+    path = tmp_path / "span.json"
+    path.write_text('{"entity": "S", "publications": ['
+                    '{"id": "a", "year": 0, "citation_count": 1}, '
+                    '{"id": "b", "year": 1000000000, "citation_count": 1}]}')
+    flag = "--input" if command == "sequence" else "--inputs"
+    started = time.perf_counter()
+    code = main([command, flag, str(path)])
+    assert time.perf_counter() - started < 1.0
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err == ("error: record 'S': publication years 0..1000000000 span "
+                   f"more than {MAX_SEQUENCE_WINDOWS:,} windows\n")
 
 
 def test_h_matrix_shapes():

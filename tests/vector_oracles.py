@@ -92,3 +92,11 @@ def oracle_schreiber_hm(pairs):
     qualifying = [_effective_rank(pairs, j) for j in range(1, len(pairs) + 1)
                   if _effective_rank(pairs, j) <= pairs[j - 1][0]]
     return float(max(qualifying, default=0))
+
+
+def oracle_sequence(years, counts):
+    """h of every window [start, last] of publication years, newest first,
+    each window's counts collected and scanned from scratch."""
+    last, first = max(years), min(years)
+    return [oracle_h([c for y, c in zip(years, counts) if start <= y])
+            for start in range(last, first - 1, -1)]
