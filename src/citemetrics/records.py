@@ -111,9 +111,9 @@ class IndexConfig:
             raise ValueError(f"unknown self_citation_mode {self.self_citation_mode!r}")
         if not 0 < self.gamma < float("inf"):  # also rejects NaN
             raise ValueError("gamma must be positive and finite")
-        if not self.delta >= 0:
-            raise ValueError("delta must be non-negative")
-        for name in ("delta", "alpha_predictive", "beta_molinari"):
+        if not 0 <= self.delta < float("inf"):
+            raise ValueError("delta must be non-negative and finite")
+        for name in ("alpha_predictive", "beta_molinari"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.now_year is not None and not INT64_MIN <= self.now_year <= INT64_MAX:
@@ -271,7 +271,8 @@ def _require(condition, message):
 
 
 def _all_str(items):
-    """Whether every item is a str; join makes the cheapest such test."""
+    """Whether every item is a str (or a subclass); join makes the cheapest
+    such test."""
     try:
         "".join(items)
     except TypeError:
@@ -279,16 +280,15 @@ def _all_str(items):
     return True
 
 
-def _event_from_dict(raw_event, where):
+def _raise_event_error(raw_event, where):
+    """Name the first check a citation event fails (record_from_dict has
+    found that one does)."""
     _require(isinstance(raw_event, dict), f"{where}: must be an object")
     unknown = set(raw_event) - _EVENT_KEYS
     if unknown:
         raise RecordParseError(f"{where}: unknown field {sorted(unknown)[0]!r}")
     _require(type(raw_event.get("year")) is int, f"{where}: field 'year' must be an integer")
-    citing = raw_event.get("citing_authors", [])
-    _require(isinstance(citing, list) and all(isinstance(a, str) for a in citing),
-             f"{where}: field 'citing_authors' must be a list of strings")
-    return CitationEvent(year=raw_event["year"], citing_authors=tuple(citing))
+    raise RecordParseError(f"{where}: field 'citing_authors' must be a list of strings")
 
 
 def record_from_dict(data, source="<memory>"):
@@ -329,18 +329,14 @@ def record_from_dict(data, source="<memory>"):
             _require(isinstance(raw_events, list),
                      f"{where}: field 'citation_events' must be a list")
             events = []
-            for j, raw_event in enumerate(raw_events):
-                # Exact-type fast test; anything else takes the checked path,
-                # which builds the error message or accepts subclasses.
-                if type(raw_event) is dict and type(raw_event.get("year")) is int:
-                    if len(raw_event) == 1:
-                        events.append(CitationEvent(raw_event["year"]))
-                        continue
-                    citing = raw_event.get("citing_authors")
-                    if len(raw_event) == 2 and type(citing) is list and _all_str(citing):
+            for raw_event in raw_events:
+                if (isinstance(raw_event, dict) and _EVENT_KEYS.issuperset(raw_event)
+                        and type(raw_event.get("year")) is int):
+                    citing = raw_event.get("citing_authors", [])
+                    if isinstance(citing, list) and _all_str(citing):
                         events.append(CitationEvent(raw_event["year"], tuple(citing)))
                         continue
-                events.append(_event_from_dict(raw_event, f"{where}.citation_events[{j}]"))
+                _raise_event_error(raw_event, f"{where}.citation_events[{len(events)}]")
             events = tuple(events)
         pubs.append(Publication(
             id=raw["id"], year=raw["year"], authors=tuple(authors),

@@ -44,10 +44,8 @@ class FieldProfile:
     chi: float
 
     def __post_init__(self):
-        if not self.chi > 0:  # also rejects NaN
-            raise DomainError(f"field {self.name!r}: chi must be positive")
-        if self.chi == math.inf:
-            raise DomainError(f"field {self.name!r}: chi must be finite")
+        if not 0 < self.chi < math.inf:  # also rejects NaN
+            raise DomainError(f"field {self.name!r}: chi must be positive and finite")
 
 
 @dataclass(frozen=True)

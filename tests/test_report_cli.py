@@ -588,9 +588,9 @@ def test_render_json_refuses_non_finite_values():
     (["journal", "--articles", "10", "--citations", "5", "--h", "1000000000",
       "--beta=-300"], "impact index is not finite (inf)"),
     (["field", "--h", "3", "--field-chi", "inf", "--reference-chi", "2"],
-     "field 'field': chi must be finite"),
+     "field 'field': chi must be positive and finite"),
     (["field", "--h", "3", "--field-chi", "nan", "--reference-chi", "2"],
-     "field 'field': chi must be positive"),
+     "field 'field': chi must be positive and finite"),
     (["field", "--h", "3", "--field-chi", "1e-300", "--reference-chi", "1e300"],
      "field factor is not finite (inf)"),
     (["field", "--h", "1" + "0" * 200, "--field-chi", "1e-200", "--reference-chi", "1"],
