@@ -8,7 +8,7 @@ layer (aggregate), and report/CLI plumbing (report, cli).
 
 from .aggregate import (CareerSummary, SimConfig, TailFunction,
                         burrell_simulate, dynamic_h, glanzel_H, group_hc,
-                        group_hp, lotkaian_h, successive_h)
+                        group_hp, group_indices, lotkaian_h, successive_h)
 from .coauthor import AuthoredVector, authored_vector, hi_index, pure_h, schreiber_hm
 from .core import (a_index, f_index, g_index, h2_index, h_alpha_predict,
                    h_core_cv, h_core_sum, h_index, hw_index, maxprod, r_index,

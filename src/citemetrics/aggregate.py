@@ -21,26 +21,46 @@ from .errors import DomainError, UndefinedInputError
 from .records import CitationEvent, CitationRecord, Publication, citation_vector, totals
 
 
-def _members(group):
-    members = list(group)
-    if not members:
+# What each group index reads from one member record; the index is the
+# h-index of those values over the group.
+_MEMBER_VALUES = {
+    "successive_h": lambda member: h_index(citation_vector(member)),
+    "group_hp": lambda member: totals(member)[0],
+    "group_hc": lambda member: totals(member)[1],
+}
+
+
+def group_indices(group, keys=tuple(_MEMBER_VALUES)):
+    """Member count and the group indices named in keys (all by default), in
+    one pass over group: successive h is the h-index of the members'
+    h-indices, group h_p of their publication counts and group h_c of their
+    citation totals.  Each member is reduced to its values as it is read, so
+    an iterable of records need hold only one at a time."""
+    readers = [_MEMBER_VALUES[key] for key in keys]
+
+    def values(member):
+        return [read(member) for read in readers]
+
+    rows = list(map(values, group))  # map keeps no member once it is reduced
+    if not rows:
         raise UndefinedInputError("group has no members")
-    return members
+    return {"members": len(rows),
+            **{key: h_index(column) for key, column in zip(keys, zip(*rows))}}
 
 
 def successive_h(group):
-    """h-index of the members' h-indices, sorted descending."""
-    return h_index([h_index(citation_vector(m)) for m in _members(group)])
+    """h-index of the members' h-indices."""
+    return group_indices(group, ("successive_h",))["successive_h"]
 
 
 def group_hp(group):
     """h-index of the members' publication counts."""
-    return h_index([totals(m)[0] for m in _members(group)])
+    return group_indices(group, ("group_hp",))["group_hp"]
 
 
 def group_hc(group):
     """h-index of the members' citation totals."""
-    return h_index([totals(m)[1] for m in _members(group)])
+    return group_indices(group, ("group_hc",))["group_hc"]
 
 
 def lotkaian_h(t_sources, alpha):
@@ -179,6 +199,8 @@ class SimConfig:
     citation_rate_scale: float = 1.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DomainError("seed must be non-negative")
         if self.careers < 1 or self.career_years < 1:
             raise DomainError("careers and career_years must be positive")
         if self.pub_rate <= 0 or self.gamma_shape <= 0 or self.gamma_rate <= 0:

@@ -3,7 +3,10 @@ rank records, window sequences, group indices, simulation and the journal /
 field / cohort indicators.
 
 Exit codes: 0 success (including partial reports with unavailable indices),
-2 usage error, 3 input error, 4 domain error.
+2 usage error, 3 input error, 4 domain error.  Every usage check is made
+before the first file is read; then the inputs are handled in order and the
+first one that fails decides the exit code.  The multi-record commands
+reduce and drop each record before they read the next file.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ import sys
 from pathlib import Path
 
 from . import report as report_mod
-from .aggregate import (CareerSummary, SimConfig, burrell_simulate, group_hc,
-                        group_hp, successive_h)
+from .aggregate import CareerSummary, SimConfig, burrell_simulate, group_indices
 from .errors import (DegenerateCohortError, DomainError, FidelityError,
                      RecordParseError, RecordValidationError, UndefinedInputError)
 from .records import IndexConfig, parse_record
@@ -84,10 +86,10 @@ def _indices_arg(parser, args):
 
 
 def cmd_compute(parser, args):
-    record = parse_record(args.input)
     config = _config_from(parser, args)
     indices = _indices_arg(parser, args)
-    rep = report_mod.compute_report(record, config, indices, strict=args.strict)
+    rep = report_mod.compute_report(parse_record(args.input), config, indices,
+                                    strict=args.strict)
     _emit(report_mod.render_report(rep, args.format), args)
     if args.emit_plot:
         Path(args.emit_plot).write_text(report_mod.plot_series_csv([rep]),
@@ -98,15 +100,15 @@ def cmd_compute(parser, args):
 def cmd_compare(parser, args):
     if len(args.inputs) < 2:
         parser.error("compare needs at least two --inputs")
-    records = [parse_record(path) for path in args.inputs]
     config = _config_from(parser, args)
     indices = _indices_arg(parser, args)
-    reports = [report_mod.compute_report(r, config, indices, strict=args.strict)
-               for r in records]
+    if args.sort_by and args.sort_by not in indices:
+        parser.error(f"--sort-by key {args.sort_by!r} is not among the "
+                     "requested indices")
+    reports = [report_mod.compute_report(parse_record(path), config, indices,
+                                         strict=args.strict)
+               for path in args.inputs]
     if args.sort_by:
-        if args.sort_by not in indices:
-            parser.error(f"--sort-by key {args.sort_by!r} is not among the "
-                         "requested indices")
         def sort_key(rep):
             value = rep.values.get(args.sort_by)
             missing = value is None
@@ -120,9 +122,9 @@ def cmd_compare(parser, args):
 
 
 def cmd_sequence(parser, args):
+    config = _config_from(parser, args)
     record = parse_record(args.input)
-    seq = h_sequence(record, _config_from(parser, args),
-                     truncate_events_to_now=args.truncate_events)
+    seq = h_sequence(record, config, truncate_events_to_now=args.truncate_events)
     windows = list(zip(seq.start_years, seq.values))
     payload = {"entity": record.entity, "end_year": seq.end_year,
                "windows": [{"start_year": s, "h": h} for s, h in windows]}
@@ -135,8 +137,8 @@ def cmd_sequence(parser, args):
 
 
 def cmd_matrix(parser, args):
-    records = [parse_record(path) for path in args.inputs]
-    matrix = h_matrix(records, _config_from(parser, args),
+    config = _config_from(parser, args)
+    matrix = h_matrix(map(parse_record, args.inputs), config,
                       truncate_events_to_now=args.truncate_events)
     width = len(matrix.rows[0]) if matrix.rows else 0
     payload = {"entities": list(matrix.entities),
@@ -148,19 +150,13 @@ def cmd_matrix(parser, args):
 
 
 def cmd_successive(parser, args):
-    records = [parse_record(path) for path in args.inputs]
-    _emit_metrics([("members", len(records)), ("successive_h", successive_h(records))],
-                  args)
+    _emit_metrics(list(group_indices(map(parse_record, args.inputs),
+                                     ("successive_h",)).items()), args)
     return 0
 
 
 def cmd_group(parser, args):
-    records = [parse_record(path) for path in args.inputs]
-    rows = [("members", len(records)),
-            ("successive_h", successive_h(records)),
-            ("group_hp", group_hp(records)),
-            ("group_hc", group_hc(records))]
-    _emit_metrics(rows, args)
+    _emit_metrics(list(group_indices(map(parse_record, args.inputs)).items()), args)
     return 0
 
 

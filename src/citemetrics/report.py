@@ -146,19 +146,25 @@ def compute_report(record, config=None, indices=None, strict=False):
     view = _PreparedRecord(record, config)
     values = {}
     unavailable = {}
-    for key in keys:
-        try:
-            values[key] = _COMPUTERS[key](view)
-        except _UNAVAILABLE_ERRORS as exc:
-            if strict:
-                raise
-            unavailable[key] = str(exc)
     try:
-        vector = view.part("vector")
-    except _UNAVAILABLE_ERRORS:
-        vector = None
+        for key in keys:
+            try:
+                values[key] = _COMPUTERS[key](view)
+            except _UNAVAILABLE_ERRORS as exc:
+                if strict:
+                    raise
+                unavailable[key] = str(exc)
+        try:
+            vector = view.part("vector")
+        except _UNAVAILABLE_ERRORS:
+            vector = None
+        config_echo = _config_echo(view)
+    finally:
+        # A kept error's traceback holds the view, and so the record, in a
+        # reference cycle; emptying the parts frees the record at once.
+        view.parts.clear()
     return IndexReport(entity=record.entity, kind=record.kind,
-                       config=_config_echo(view), keys=keys,
+                       config=config_echo, keys=keys,
                        values=values, unavailable=unavailable, vector=vector)
 
 

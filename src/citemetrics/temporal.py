@@ -199,11 +199,16 @@ def h_sequence(record, config=None, truncate_events_to_now=False):
 
 
 def h_matrix(records, config=None, truncate_events_to_now=False):
-    """Stack the h-sequences of a cohort, aligned at the most recent window."""
-    records = list(records)
-    if not records:
+    """Stack the h-sequences of a cohort, aligned at the most recent window.
+    records is read once, in order, and each record is reduced to its
+    h-sequence and dropped before the next one is read."""
+    entities, sequences = [], []
+    for record in records:
+        entities.append(record.entity)
+        sequences.append(h_sequence(record, config, truncate_events_to_now))
+        del record  # released before the iterable yields the next one
+    if not sequences:
         raise UndefinedInputError("cohort is empty")
-    sequences = [h_sequence(r, config, truncate_events_to_now) for r in records]
     width = max(len(s.values) for s in sequences)
     rows = tuple(s.values + (None,) * (width - len(s.values)) for s in sequences)
-    return HMatrix(entities=tuple(r.entity for r in records), rows=rows)
+    return HMatrix(entities=tuple(entities), rows=rows)

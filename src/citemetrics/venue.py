@@ -65,7 +65,13 @@ class CohortPoint:
                 f"{self.entity!r}: h ({self.h}) exceeds publication count ({self.n_p})")
 
 
-def _finite(value, what):
+def _finite(compute, what):
+    """compute() as a finite float.  Float arithmetic that overflows, divides
+    by a power that underflowed to zero, or ends in inf/NaN is a DomainError."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"{what} is out of floating-point range") from None
     if not math.isfinite(value):
         raise DomainError(f"{what} is not finite ({value:g})")
     return value
@@ -75,14 +81,14 @@ def impact_factor(window):
     """Citations in the target year divided by the source-window article count."""
     if window.n_articles < 1:
         raise UndefinedInputError("impact factor needs at least one source article")
-    return window.n_citations / window.n_articles
+    return _finite(lambda: window.n_citations / window.n_articles, "impact factor")
 
 
 def relative_h(h, n_articles_in_year):
     """h divided by the number of articles published in the current year."""
     if n_articles_in_year < 1:
         raise UndefinedInputError("relative h needs at least one article")
-    return h / n_articles_in_year
+    return _finite(lambda: h / n_articles_in_year, "relative h")
 
 
 def sri(h, n):
@@ -98,17 +104,17 @@ def impact_index_hm(h, n, beta=0.4):
         raise UndefinedInputError("impact index needs at least one article")
     if not math.isfinite(beta):
         raise DomainError("impact index needs a finite beta")
-    return _finite(h / n ** beta, "impact index")
+    return _finite(lambda: h / n ** beta, "impact index")
 
 
 def field_factor(reference, field):
     """(chi_reference / chi_field)**(2/3)."""
-    return _finite((reference.chi / field.chi) ** (2.0 / 3.0), "field factor")
+    return _finite(lambda: (reference.chi / field.chi) ** (2.0 / 3.0), "field factor")
 
 
 def field_normalized_h(h, field, reference):
     """Rescale h so that fields with different citation densities compare."""
-    return _finite(field_factor(reference, field) * h, "normalized h")
+    return _finite(lambda: field_factor(reference, field) * h, "normalized h")
 
 
 def theoretical_h_estimate(n_p, chi, literal_radical=False):
@@ -122,10 +128,10 @@ def theoretical_h_estimate(n_p, chi, literal_radical=False):
     if not chi > 0:  # also rejects NaN
         raise DomainError("theoretical h estimate needs chi > 0")
     if literal_radical:
-        estimate = ((n_p / 4.0) * chi ** (2.0 / 3.0)) ** (1.0 / 3.0)
-    else:
-        estimate = (n_p * chi * chi / 4.0) ** (1.0 / 3.0)
-    return _finite(estimate, "theoretical h estimate")
+        return _finite(lambda: ((n_p / 4.0) * chi ** (2.0 / 3.0)) ** (1.0 / 3.0),
+                       "theoretical h estimate")
+    return _finite(lambda: (n_p * chi * chi / 4.0) ** (1.0 / 3.0),
+                   "theoretical h estimate")
 
 
 def _as_points(cohort):
@@ -162,4 +168,4 @@ def vanraan_diagnostic(n_c):
     next to the actual h; never a target to assert against."""
     if n_c < 0:
         raise DomainError("citation total must be non-negative")
-    return 0.42 * n_c ** 0.45
+    return _finite(lambda: 0.42 * n_c ** 0.45, "van Raan estimate")

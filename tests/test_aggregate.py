@@ -9,7 +9,8 @@ import datagen
 from citemetrics import (CitationRecord, DomainError, Publication, SimConfig,
                          TailFunction, UndefinedInputError, burrell_simulate,
                          citation_vector, dynamic_h, glanzel_H, group_hc,
-                         group_hp, h_index, lotkaian_h, successive_h)
+                         group_hp, group_indices, h_index, lotkaian_h, successive_h,
+                         totals)
 from citemetrics.aggregate import MAX_SIMULATION_SIZE
 from citemetrics.cli import main
 
@@ -52,6 +53,37 @@ def test_group_hp_hc():
     assert group_hc(zeroes) == 0
     skewed = [_member("a", [50, 50]), _member("b", [1])]
     assert group_hc(skewed) == 1
+
+
+def test_group_indices_match_their_definitions():
+    rnd = random.Random(7)
+    for _ in range(50):
+        group = [_member(f"m{i}", [rnd.randint(0, 30) for _ in range(rnd.randint(1, 12))])
+                 for i in range(rnd.randint(1, 10))]
+        hs = [h_index(citation_vector(m)) for m in group]
+        want = {"members": len(group), "successive_h": h_index(hs),
+                "group_hp": h_index([totals(m)[0] for m in group]),
+                "group_hc": h_index([totals(m)[1] for m in group])}
+        assert group_indices(group) == want
+        assert group_indices(iter(group)) == want
+        for key in ("successive_h", "group_hp", "group_hc"):
+            assert group_indices(group, (key,)) == {"members": len(group), key: want[key]}
+
+
+@pytest.mark.parametrize("index", [successive_h, group_hp, group_hc, group_indices])
+def test_group_indices_read_their_group_once(index):
+    group = [_member("a", [5, 4, 3]), _member("b", [9, 9]), _member("c", [1])]
+    reads = []
+
+    def one_shot():
+        for member in group:
+            reads.append(member.entity)
+            yield member
+
+    assert index(one_shot()) == index(group)
+    assert reads == ["a", "b", "c"]
+    with pytest.raises(UndefinedInputError, match="group has no members"):
+        index(iter([]))
 
 
 def test_successive_h_structural_bounds():
@@ -144,6 +176,14 @@ def test_simulate_cli_refuses_oversized_ensemble(capsys):
     out, err = capsys.readouterr()
     assert (code, out) == (4, "")
     assert err.startswith("error: expected simulation size 6.92e+13 ") and err.count("\n") == 1
+
+
+def test_negative_seed_is_rejected_before_drawing(capsys):
+    with pytest.raises(DomainError, match="seed must be non-negative"):
+        SimConfig(seed=-1)
+    code = main(["simulate", "--seed=-1", "--careers", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (4, "", "error: seed must be non-negative\n")
 
 
 def test_simulation_zero_rate_scale_kills_citations():

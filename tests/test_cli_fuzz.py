@@ -98,3 +98,41 @@ def test_status_on_arbitrary_bytes(tmp_path_factory, data, header, fmt):
     path = tmp_path_factory.mktemp("fuzz") / "cohort.csv"
     path.write_bytes(header + data)
     _run(["status", "--input", str(path), f"--format={fmt}"])
+
+
+@given(records=st.lists(_RECORD, min_size=2, max_size=3), flags=_RECORD_FLAGS,
+       command=st.sampled_from(["compare", "matrix", "successive", "group"]),
+       strict=st.booleans())
+def test_streaming_commands_on_schema_shaped_records(tmp_path_factory, records, flags,
+                                                     command, strict):
+    directory = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for i, record in enumerate(records):
+        paths.append(directory / f"record{i}.json")
+        paths[-1].write_text(json.dumps(record))
+    if command in ("successive", "group"):  # they take --format alone
+        flags = [flag for flag in flags if flag.startswith("--format=")]
+    elif command == "compare":
+        flags = flags + ["--strict"] * strict
+    _run([command, "--inputs", *map(str, paths), *flags])
+
+
+_NUMBER = st.one_of(_INT, st.sampled_from([0, 1, 2, 10 ** 400]))
+
+
+@given(articles=_NUMBER, citations=_NUMBER, h=_flag("--h", _NUMBER),
+       beta=_flag("--beta", _FLOAT), fmt=st.sampled_from(["table", "json", "csv"]))
+def test_journal_on_extreme_values(articles, citations, h, beta, fmt):
+    _run(["journal", f"--articles={articles}", f"--citations={citations}", *h, *beta,
+          f"--format={fmt}"])
+
+
+@given(h=_NUMBER, field_chi=_FLOAT, reference_chi=_FLOAT,
+       estimate=st.one_of(st.just([]), st.tuples(_NUMBER, _FLOAT).map(
+           lambda pair: [f"--np={pair[0]}", f"--chi={pair[1]}"])),
+       nc=_flag("--nc", _NUMBER), literal=st.booleans(),
+       fmt=st.sampled_from(["table", "json", "csv"]))
+def test_field_on_extreme_values(h, field_chi, reference_chi, estimate, nc, literal, fmt):
+    _run(["field", f"--h={h}", f"--field-chi={field_chi}",
+          f"--reference-chi={reference_chi}", *estimate, *nc,
+          *["--literal-radical"] * literal, f"--format={fmt}"])

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import vector_oracles as vo
 from citemetrics import (CitationRecord, FidelityError, Publication,
@@ -46,6 +46,24 @@ def test_hi_mean_vs_median_divergence():
 def test_hi_even_core_median_is_midpoint():
     pairs = [(9, 5), (8, 3), (7, 2), (6, 1)]
     assert hi_index(pairs, "median") == pytest.approx(4 / 2.5)
+
+
+@pytest.mark.parametrize("pairs, mean, median", [
+    ([(9, 10), (8, 1), (7, 1), (6, 1)], 4 / 3.25, 4.0),
+    ([(9, 5), (8, 3), (7, 2), (6, 1)], 4 / 2.75, 4 / 2.5),
+    ([(3, 2), (3, 4), (3, 9), (1, 1)], 3 / 5, 3 / 4),
+    ([(0, 3)], 0.0, 0.0),
+])
+def test_hi_oracle_on_hand_computed_cores(pairs, mean, median):
+    for center, want in (("mean", mean), ("median", median)):
+        assert vo.oracle_hi(pairs, center) == pytest.approx(want)
+        assert hi_index(pairs, center) == vo.oracle_hi(pairs, center)
+
+
+@pytest.mark.parametrize("center", ["mean", "median"])
+@given(pairs=pair_lists)
+def test_hi_matches_oracle(pairs, center):
+    assert hi_index(pairs, center) == vo.oracle_hi(pairs, center)
 
 
 def test_pure_h_cases():
@@ -94,12 +112,28 @@ def test_schreiber_never_exceeds_h(pairs):
     assert schreiber_hm(pairs) <= h_index([c for c, _ in pairs])
 
 
+def _ranking(pairs):
+    # the order schreiber_hm scans: citations descending, ties kept in order
+    return sorted(range(len(pairs)), key=lambda k: -pairs[k][0])
+
+
 @given(pair_lists.filter(bool), st.data())
 def test_schreiber_monotone_in_citations(pairs, data):
+    # Only bumps that keep the citation ranking: the effective ranks then stay
+    # put while one count rises, so no rank can stop fitting.
     i = data.draw(st.integers(min_value=0, max_value=len(pairs) - 1))
     bumped = list(pairs)
     bumped[i] = (bumped[i][0] + 1, bumped[i][1])
+    assume(_ranking(bumped) == _ranking(pairs))
     assert schreiber_hm(bumped) >= schreiber_hm(pairs)
+
+
+def test_schreiber_can_fall_when_a_bump_reorders_the_ranking():
+    # The two-author paper overtakes the single-author one: its effective
+    # rank 1/2 comes first and the next, 3/2, no longer fits under 1.
+    assert schreiber_hm([(1, 1), (1, 2)]) == 1.0
+    assert schreiber_hm([(1, 1), (2, 2)]) == 0.5
+    assert vo.oracle_schreiber_hm([(1, 1), (2, 2)]) == 0.5
 
 
 @given(pair_lists)

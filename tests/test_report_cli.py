@@ -605,6 +605,34 @@ def test_non_finite_journal_and_field_values_are_domain_errors(capsys, argv, mes
     assert err == f"error: {message}\n"
 
 
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["journal", "--articles", "10", "--citations", "5", "--h", "3", "--beta=-1000"],
+     "impact index is out of floating-point range"),
+    (["journal", "--articles", "10", "--citations", "5", "--h", "3", "--beta=1000"],
+     "impact index is out of floating-point range"),
+    (["journal", "--articles", "10", "--citations", _HUGE],
+     "impact factor is out of floating-point range"),
+    (["journal", "--articles", "10", "--citations", "5", "--h", _HUGE],
+     "relative h is out of floating-point range"),
+    (["field", "--nc", _HUGE], "van Raan estimate is out of floating-point range"),
+    (["field", "--np", _HUGE, "--chi", "2"],
+     "theoretical h estimate is out of floating-point range"),
+    (["field", "--np", _HUGE, "--chi", "2", "--literal-radical"],
+     "theoretical h estimate is out of floating-point range"),
+    (["field", "--h", _HUGE, "--field-chi", "2", "--reference-chi", "3"],
+     "normalized h is out of floating-point range"),
+], ids=["beta-underflow", "beta-overflow", "citations-huge", "h-huge", "nc-huge",
+        "np-huge", "np-huge-literal", "h-normalized-huge"])
+def test_out_of_float_range_journal_and_field_values_are_domain_errors(
+        capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("name, text, message", [
     ("count.json", _json_with({"id": "p", "year": 2000, "citation_count": True}),
      "field 'citation_count' must be an integer"),

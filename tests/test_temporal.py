@@ -11,7 +11,8 @@ from citemetrics import (CitationEvent, CitationRecord, DomainError,
                          m_quotient, normalized_h_output, r_index, trend_h)
 from citemetrics.cli import main
 from citemetrics.temporal import MAX_SEQUENCE_WINDOWS
-from vector_oracles import oracle_sequence
+from vector_oracles import (contemporary_score_vector, oracle_contemporary_h,
+                            oracle_sequence, oracle_trend_h, trend_score_vector)
 
 
 def _rec(*pubs, entity="X"):
@@ -253,3 +254,57 @@ def test_contemporary_never_exceeds_h_when_weights_at_most_one(pubs):
                     for i, (year, c) in enumerate(pubs)])
     config = IndexConfig(gamma=1.0, delta=1.0)  # age >= 1 keeps weights <= 1
     assert contemporary_h(record, config) <= h_index(citation_vector(record))
+
+
+def test_contemporary_oracle_on_hand_computed_scores():
+    # now 2010, gamma 4, delta 1: ages 1, 2, 5, 11
+    pubs = [(2010, 3), (2009, 4), (2006, 10), (2000, 5)]
+    scores = contemporary_score_vector(pubs, 2010, 4.0, 1.0)
+    assert scores == pytest.approx([12.0, 8.0, 8.0, 20 / 11])
+    assert oracle_contemporary_h(pubs, 2010, 4.0, 1.0) == 3
+    record = _rec(*[_counts_pub(f"p{i}", y, c) for i, (y, c) in enumerate(pubs)])
+    assert contemporary_h(record, IndexConfig(now_year=2010)) == 3
+
+
+def test_trend_oracle_on_hand_computed_scores():
+    # now 2010, gamma 4, delta 1: event ages (3, 1, 1), (2, 2), (1,), (10,)
+    pubs = [(2008, [2008, 2010, 2010]), (2009, [2009, 2009]), (2010, [2010]),
+            (2000, [2001])]
+    scores = trend_score_vector(pubs, 2010, 4.0, 1.0)
+    assert scores == pytest.approx([28 / 3, 4.0, 4.0, 0.4])
+    assert oracle_trend_h(pubs, 2010, 4.0, 1.0) == 3
+    record = _rec(*[_events_pub(f"p{i}", y, e) for i, (y, e) in enumerate(pubs)])
+    assert trend_h(record, IndexConfig(now_year=2010)) == 3
+
+
+_gammas = st.sampled_from([0.25, 1.0, 2.0, 4.0, 10.0]) | st.floats(
+    min_value=0.01, max_value=50.0)
+_deltas = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(min_value=0.0, max_value=3.0)
+_now_offsets = st.none() | st.integers(min_value=0, max_value=10)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=1990, max_value=2010),
+                          st.integers(min_value=0, max_value=60)),
+                min_size=1, max_size=20),
+       _gammas, _deltas, _now_offsets)
+def test_contemporary_h_matches_oracle(pubs, gamma, delta, offset):
+    record = _rec(*[_counts_pub(f"p{i}", y, c) for i, (y, c) in enumerate(pubs)])
+    latest = max(y for y, _ in pubs)
+    now = None if offset is None else latest + offset
+    config = IndexConfig(now_year=now, gamma=gamma, delta=delta)
+    want = oracle_contemporary_h(pubs, latest if now is None else now, gamma, delta)
+    assert contemporary_h(record, config) == want
+
+
+@given(st.lists(st.tuples(st.integers(min_value=1990, max_value=2010),
+                          st.lists(st.integers(min_value=0, max_value=12), max_size=15)),
+                min_size=1, max_size=15),
+       _gammas, _deltas, _now_offsets)
+def test_trend_h_matches_oracle(pubs, gamma, delta, offset):
+    pubs = [(y, [y + o for o in offsets]) for y, offsets in pubs]
+    record = _rec(*[_events_pub(f"p{i}", y, e) for i, (y, e) in enumerate(pubs)])
+    latest = max([y for y, _ in pubs] + [e for _, events in pubs for e in events])
+    now = None if offset is None else latest + offset
+    config = IndexConfig(now_year=now, gamma=gamma, delta=delta)
+    want = oracle_trend_h(pubs, latest if now is None else now, gamma, delta)
+    assert trend_h(record, config) == want

@@ -100,3 +100,48 @@ def oracle_sequence(years, counts):
     last, first = max(years), min(years)
     return [oracle_h([c for y, c in zip(years, counts) if start <= y])
             for start in range(last, first - 1, -1)]
+
+
+def oracle_score_h(scores):
+    """Largest k such that at least k real-valued scores reach k, counted
+    from scratch for every candidate k (scores compared unrounded)."""
+    qualifying = [k for k in range(1, len(scores) + 1)
+                  if sum(1 for s in scores if s >= k) >= k]
+    return max(qualifying, default=0)
+
+
+def contemporary_score_vector(pubs, now, gamma, delta):
+    """Contemporary scores of (year, citations) pairs, in the given order:
+    gamma * age**(-delta) * citations with age = now - year + 1."""
+    return [gamma * (now - year + 1) ** (-delta) * citations for year, citations in pubs]
+
+
+def trend_score_vector(pubs, now, gamma, delta):
+    """Trend scores of (year, citation event years) pairs, in the given
+    order: gamma times the sum over events of age**(-delta), each age
+    counted from the event's year."""
+    return [gamma * sum((now - event + 1) ** (-delta) for event in events)
+            for _, events in pubs]
+
+
+def oracle_contemporary_h(pubs, now, gamma, delta):
+    return oracle_score_h(contemporary_score_vector(pubs, now, gamma, delta))
+
+
+def oracle_trend_h(pubs, now, gamma, delta):
+    return oracle_score_h(trend_score_vector(pubs, now, gamma, delta))
+
+
+def oracle_hi(pairs, center):
+    """h divided by the mean or median author count of the h-core, the
+    (citations, authors) pairs ranked by citations with ties kept in order."""
+    pairs = sorted(pairs, key=lambda p: -p[0])
+    h = oracle_h([c for c, _ in pairs])
+    if h == 0:
+        return 0.0
+    authors = sorted(a for _, a in pairs[:h])
+    if center == "mean":
+        return h / (sum(authors) / h)
+    middle = h // 2
+    median = authors[middle] if h % 2 else (authors[middle - 1] + authors[middle]) / 2
+    return h / median
