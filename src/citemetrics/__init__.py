@@ -23,10 +23,9 @@ from .records import (CitationEvent, CitationRecord, CitationVector,
                       validate_record, write_record)
 from .report import (IndexReport, REPORT_INDEX_KEYS, compute_report,
                      format_value, render_json, report_to_jsonable)
-from .temporal import (HMatrix, HSequence, ScoredVector, ar_index,
-                       contemporary_h, contemporary_scores, h_matrix,
-                       h_sequence, m_quotient, normalized_h_output,
-                       trend_h, trend_scores)
+from .temporal import (HMatrix, HSequence, ar_index, contemporary_h,
+                       h_matrix, h_sequence, m_quotient,
+                       normalized_h_output, trend_h)
 from .venue import (CohortPoint, FieldProfile, JournalWindow, field_factor,
                     field_normalized_h, impact_factor, impact_index_hm,
                     relative_h, research_status, sri, theoretical_h_estimate,

@@ -105,9 +105,12 @@ def cmd_compare(parser, args):
     if args.sort_by and args.sort_by not in indices:
         parser.error(f"--sort-by key {args.sort_by!r} is not among the "
                      "requested indices")
-    reports = [report_mod.compute_report(parse_record(path), config, indices,
-                                         strict=args.strict)
-               for path in args.inputs]
+    reports = []
+    for path in args.inputs:
+        rep = report_mod.compute_report(parse_record(path), config, indices,
+                                        strict=args.strict)
+        # Only --emit-plot reads a report's citation vector.
+        reports.append(rep if args.emit_plot else dataclasses.replace(rep, vector=None))
     if args.sort_by:
         def sort_key(rep):
             value = rep.values.get(args.sort_by)

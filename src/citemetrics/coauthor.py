@@ -4,38 +4,17 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import h_index
-from .errors import FidelityError
-from .records import filter_self_citations
-
-
-@dataclass(frozen=True)
-class AuthoredVector:
-    """(citation count, author count) pairs, citations descending."""
-
-    entries: tuple
+from .records import AuthoredVector, prepare  # AuthoredVector: re-exported
 
 
 def authored_vector(record, config=None):
     """Build the (citations, authors) vector with the record-model tie rule,
     filtering self-citations first when a config is given.  Every
     publication must expose an author count of at least 1."""
-    if config is not None:
-        record = filter_self_citations(record, config.self_citation_mode)
-    ordered = sorted(record.publications,
-                     key=lambda p: (-p.citations(), p.year, p.id))
-    entries = []
-    for pub in ordered:
-        n_authors = pub.effective_author_count()
-        if n_authors is None or n_authors < 1:
-            raise FidelityError(
-                f"publication {pub.id!r} has no author count; "
-                "co-authorship indices need one")
-        entries.append((pub.citations(), n_authors))
-    return AuthoredVector(tuple(entries))
+    return prepare(record, config).part("authored")
 
 
 def _entries(av):

@@ -1,9 +1,10 @@
 """Indices computed from a descending citation vector alone.
 
-Every function accepts either a CitationVector or any iterable of
-non-negative citation counts; the input order never matters because the
-counts are re-sorted defensively.  All indices return 0 on empty vectors,
-and forms that divide by h are defined as 0 when h is 0.
+Every function accepts either a CitationVector, whose counts are taken as
+they are (they are descending by construction), or any iterable of
+non-negative citation counts in any order, which is sorted first.  All
+indices return 0 on empty vectors, and forms that divide by h are defined
+as 0 when h is 0.
 
 The threshold scans (h, h2, w, g, f, t, h_w) stop at their first failing
 rank.  That is exact: the tested quantity (a count, the top-k arithmetic,
@@ -18,19 +19,21 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .records import G_CONVENTIONS
+from .records import G_CONVENTIONS, CitationVector
 
 
 def _descending(v):
-    counts = getattr(v, "counts", v)
-    return sorted((int(c) for c in counts), reverse=True)
+    if isinstance(v, CitationVector):
+        return v.counts
+    return sorted((int(c) for c in v), reverse=True)
 
 
 def h_index(v):
     """Largest rank h whose paper has at least h citations.  Real-valued
     scores are compared unrounded, so an overflowed (infinite) score counts."""
+    counts = v.counts if isinstance(v, CitationVector) else sorted(v, reverse=True)
     best = 0
-    for rank, count in enumerate(sorted(getattr(v, "counts", v), reverse=True), start=1):
+    for rank, count in enumerate(counts, start=1):
         if count >= rank:
             best = rank
         else:
@@ -144,7 +147,7 @@ def f_index(v):
         if count == 0:
             break
         reciprocal_sum += Fraction(1, count)
-        if Fraction(f) / reciprocal_sum >= f:
+        if reciprocal_sum <= 1:  # f / reciprocal_sum >= f, exactly
             best = f
         else:
             break

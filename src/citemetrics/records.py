@@ -1,9 +1,10 @@
 """Citation-record data model.
 
 Defines the record/publication/event types, file ingestion (JSON and two CSV
-layouts), validation, self-citation filtering and the descending citation
-vector that every index module consumes.  Records are immutable after
-parsing; everything here is a pure function of its inputs.
+layouts), validation, self-citation filtering and the prepared view: a
+record filtered, ranked and dated once, whose citation and authored vectors
+every index module consumes.  Records are immutable after parsing;
+everything here is a pure function of its inputs.
 
 Two data fidelities exist side by side: counts-only records (enough for the
 order-statistic indices) and event-level records (required for trend scoring,
@@ -13,18 +14,22 @@ fail loudly with FidelityError instead of silently approximating.
 
 from __future__ import annotations
 
+import copy
 import csv
 import gc
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DomainError, FidelityError, RecordParseError, RecordValidationError
+from .errors import (DomainError, FidelityError, RecordParseError,
+                     RecordValidationError, UndefinedInputError)
 
 KINDS = ("researcher", "journal", "institution", "topic")
 SELF_CITATION_MODES = ("include", "exclude_own", "exclude_coauthor")
 G_CONVENTIONS = ("bounded", "unbounded")
+# The documented reasons an index is unavailable for a record.
+UNAVAILABLE_ERRORS = (FidelityError, UndefinedInputError, DomainError)
 
 # Every integer a record or config carries must fit a signed 64-bit word;
 # larger ones would overflow the float arithmetic of the indices.
@@ -127,6 +132,13 @@ class CitationVector:
 
     counts: tuple
     publication_ids: tuple
+
+
+@dataclass(frozen=True)
+class AuthoredVector:
+    """(citation count, author count) pairs, citations descending."""
+
+    entries: tuple
 
 
 def validate_record(record):
@@ -242,12 +254,7 @@ def citation_vector(record, config=None):
     """Descending citation counts with a fixed tie order (year asc, id asc)
     so reports are reproducible.  Self-citation filtering is applied first,
     when a config is given."""
-    if config is not None:
-        record = filter_self_citations(record, config.self_citation_mode)
-    ordered = sorted(record.publications,
-                     key=lambda p: (-p.citations(), p.year, p.id))
-    return CitationVector(counts=tuple(p.citations() for p in ordered),
-                          publication_ids=tuple(p.id for p in ordered))
+    return prepare(record, config).part("vector")
 
 
 def totals(record):
@@ -255,6 +262,68 @@ def totals(record):
     n_p = len(record.publications)
     n_c = sum(p.citations() for p in record.publications)
     return n_p, n_c
+
+
+# ---------------------------------------------------------------------------
+# The prepared view
+
+@dataclass(frozen=True, slots=True)
+class PreparedRecord:
+    """A record with the parts the indices read, each built once, when an
+    index first asks for it.  A part that fails for a documented reason
+    keeps its error and raises it again for every index that needs the part,
+    so each index reports what it would report on its own."""
+
+    record: CitationRecord
+    config: IndexConfig
+    parts: dict = field(default_factory=dict)
+
+    def part(self, name):
+        if name not in self.parts:
+            try:
+                self.parts[name] = _BUILDERS[name](self)
+            except UNAVAILABLE_ERRORS as exc:
+                self.parts[name] = exc.with_traceback(None)
+        value = self.parts[name]
+        if isinstance(value, UNAVAILABLE_ERRORS):
+            # A copy: the kept error, raised itself, would take a traceback
+            # that holds this view, and so the record, in a reference cycle.
+            raise copy.copy(value)
+        return value
+
+
+def _authored(view):
+    entries = []
+    for pub in view.part("ranked"):
+        n_authors = pub.effective_author_count()
+        if n_authors is None or n_authors < 1:
+            raise FidelityError(
+                f"publication {pub.id!r} has no author count; "
+                "co-authorship indices need one")
+        entries.append((pub.citations(), n_authors))
+    return AuthoredVector(tuple(entries))
+
+
+_BUILDERS = {
+    "filtered": lambda view: filter_self_citations(
+        view.record, view.config.self_citation_mode),
+    # The one tie rule every ranking follows: citations descending, then
+    # year and id ascending.
+    "ranked": lambda view: sorted(view.part("filtered").publications,
+                                  key=lambda p: (-p.citations(), p.year, p.id)),
+    "vector": lambda view: CitationVector(
+        counts=tuple(p.citations() for p in view.part("ranked")),
+        publication_ids=tuple(p.id for p in view.part("ranked"))),
+    "authored": _authored,
+    "now_year": lambda view: resolve_now_year(view.part("filtered"), view.config),
+    "raw_now_year": lambda view: resolve_now_year(view.record, view.config),
+}
+
+
+def prepare(record, config=None):
+    """The view every report index reads: the record with self-citations
+    filtered, publications ranked and now_year resolved, each at most once."""
+    return PreparedRecord(record, config if config is not None else IndexConfig())
 
 
 # ---------------------------------------------------------------------------

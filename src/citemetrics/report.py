@@ -7,12 +7,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from . import coauthor, core, temporal
-from .errors import DomainError, FidelityError, UndefinedInputError
-from .records import (CitationRecord, CitationVector, IndexConfig,
-                      citation_vector, filter_self_citations, resolve_now_year)
+from .errors import DomainError
+from .records import UNAVAILABLE_ERRORS, CitationVector, prepare
 
 REPORT_INDEX_KEYS = (
     "h", "g", "a", "r", "h_w", "h2", "w", "maxprod", "f", "t",
@@ -23,54 +22,7 @@ REPORT_INDEX_KEYS = (
 
 _ONE_DECIMAL = {"a", "r", "h_w"}
 _TWO_DECIMALS = {"r_m", "h_core_cv", "r_m_cv"}
-_UNAVAILABLE_ERRORS = (FidelityError, UndefinedInputError, DomainError)
 
-
-@dataclass(frozen=True)
-class _PreparedRecord:
-    """The parts the report keys read, each built once per compute_report
-    call when a key first asks for it.  A part that fails for a documented
-    reason keeps its error and raises it again for every key that needs the
-    part, so each key reports what it would report on its own."""
-
-    record: CitationRecord
-    config: IndexConfig
-    parts: dict = field(default_factory=dict)
-
-    def part(self, name):
-        if name not in self.parts:
-            try:
-                self.parts[name] = _PART_BUILDERS[name](self)
-            except _UNAVAILABLE_ERRORS as exc:
-                self.parts[name] = exc
-        if isinstance(self.parts[name], _UNAVAILABLE_ERRORS):
-            raise self.parts[name]
-        return self.parts[name]
-
-
-_PART_BUILDERS = {
-    "filtered": lambda view: filter_self_citations(
-        view.record, view.config.self_citation_mode),
-    "vector": lambda view: citation_vector(view.part("filtered")),
-    "authored": lambda view: coauthor.authored_vector(view.part("filtered")),
-    "now_year": lambda view: resolve_now_year(view.part("filtered"), view.config),
-    "raw_now_year": lambda view: resolve_now_year(view.record, view.config),
-}
-
-
-def _h_norm_output(view):
-    n_p = len(temporal.require_publications(view.record))
-    return core.h_index(view.part("vector")) / n_p
-
-
-def _m_quotient(view):
-    first = min(p.year for p in temporal.require_publications(view.record))
-    career_years = view.part("raw_now_year") - first + 1
-    return core.h_index(view.part("vector")) / career_years
-
-
-# Each key reads the parts it needs in the order its stand-alone function
-# checks them, so the first error a key meets is the same.
 _COMPUTERS = {
     "h": lambda view: core.h_index(view.part("vector")),
     "g": lambda view: core.g_index(view.part("vector"), view.config.g_convention),
@@ -88,14 +40,7 @@ _COMPUTERS = {
     "h_alpha": lambda view: core.h_alpha_predict(
         core.h_index(view.part("vector")), sum(view.part("vector").counts),
         view.config.alpha_predictive),
-    "h_contemporary": lambda view: core.h_index(temporal.rank_contemporary(
-        view.part("filtered"), view.part("now_year"), view.config).scores),
-    "h_trend": lambda view: core.h_index(temporal.rank_trend(
-        view.part("filtered"), view.part("now_year"), view.config).scores),
-    "h_norm_output": _h_norm_output,
-    "ar": lambda view: temporal.age_weighted_core(
-        view.record, view.part("vector"), lambda: view.part("raw_now_year")),
-    "m_quotient": _m_quotient,
+    **temporal.VIEW_INDICES,
     "h_i_mean": lambda view: coauthor.hi_index(view.part("authored"), "mean"),
     "h_i_median": lambda view: coauthor.hi_index(view.part("authored"), "median"),
     "h_pure": lambda view: coauthor.pure_h(view.part("authored")),
@@ -141,30 +86,23 @@ def compute_report(record, config=None, indices=None, strict=False):
     """Compute the requested indices; data-fidelity and domain problems mark
     the affected index unavailable (with the reason) unless strict.  The
     record is filtered, ranked and dated once for all the keys."""
-    config = config if config is not None else IndexConfig()
     keys = select_indices(indices)
-    view = _PreparedRecord(record, config)
+    view = prepare(record, config)
     values = {}
     unavailable = {}
-    try:
-        for key in keys:
-            try:
-                values[key] = _COMPUTERS[key](view)
-            except _UNAVAILABLE_ERRORS as exc:
-                if strict:
-                    raise
-                unavailable[key] = str(exc)
+    for key in keys:
         try:
-            vector = view.part("vector")
-        except _UNAVAILABLE_ERRORS:
-            vector = None
-        config_echo = _config_echo(view)
-    finally:
-        # A kept error's traceback holds the view, and so the record, in a
-        # reference cycle; emptying the parts frees the record at once.
-        view.parts.clear()
+            values[key] = _COMPUTERS[key](view)
+        except UNAVAILABLE_ERRORS as exc:
+            if strict:
+                raise
+            unavailable[key] = str(exc)
+    try:
+        vector = view.part("vector")
+    except UNAVAILABLE_ERRORS:
+        vector = None
     return IndexReport(entity=record.entity, kind=record.kind,
-                       config=config_echo, keys=keys,
+                       config=_config_echo(view), keys=keys,
                        values=values, unavailable=unavailable, vector=vector)
 
 

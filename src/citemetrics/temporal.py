@@ -12,20 +12,12 @@ from math import sqrt
 
 from .core import h_index
 from .errors import DomainError, FidelityError, UndefinedInputError
-from .records import IndexConfig, citation_vector, filter_self_citations, resolve_now_year
+from .records import prepare
 
 # Most windows h_sequence (and so each h_matrix row) computes: a record whose
 # publication years span more years than this is a DomainError.  Four
 # centuries of a journal's output fit many times over.
 MAX_SEQUENCE_WINDOWS = 10_000
-
-
-@dataclass(frozen=True)
-class ScoredVector:
-    """Per-publication scores sorted descending, ids retained rank by rank."""
-
-    scores: tuple
-    publication_ids: tuple
 
 
 @dataclass(frozen=True)
@@ -48,10 +40,6 @@ class HMatrix:
     rows: tuple
 
 
-def _config(config):
-    return config if config is not None else IndexConfig()
-
-
 def _age(now_year, year, what):
     age = now_year - year + 1
     if age <= 0:
@@ -66,88 +54,80 @@ def require_publications(record):
     return record.publications
 
 
-def _ranked(publications, score):
-    scored = sorted(((score(pub), pub) for pub in publications),
-                    key=lambda item: (-item[0], item[1].year, item[1].id))
-    return ScoredVector(scores=tuple(s for s, _ in scored),
-                        publication_ids=tuple(p.id for _, p in scored))
+# The report keys this module defines, each a function of a records.prepare
+# view.  The stand-alone functions below evaluate through the same view.
 
-
-def rank_contemporary(filtered, now, config):
-    """Contemporary scores of an already filtered record, ages counted to now."""
-    return _ranked(filtered.publications, lambda pub: (
+def _contemporary(view):
+    config, now = view.config, view.part("now_year")
+    return h_index([
         config.gamma * _age(now, pub.year, "publication") ** (-config.delta)
-        * pub.citations()))
+        * pub.citations() for pub in view.part("filtered").publications])
 
 
-def rank_trend(filtered, now, config):
-    """Trend scores of an already filtered record, ages counted to now."""
-    def score(pub):
-        if not pub.has_events:
-            raise FidelityError(
-                f"publication {pub.id!r} has no citation events; "
-                "trend scoring needs event-level data")
-        return config.gamma * sum(
-            _age(now, e.year, "citation event") ** (-config.delta)
-            for e in pub.citation_events)
-    return _ranked(filtered.publications, score)
+def _trend_score(pub, now, config):
+    if not pub.has_events:
+        raise FidelityError(
+            f"publication {pub.id!r} has no citation events; "
+            "trend scoring needs event-level data")
+    return config.gamma * sum(
+        _age(now, e.year, "citation event") ** (-config.delta)
+        for e in pub.citation_events)
 
 
-def contemporary_scores(record, config=None):
-    config = _config(config)
-    filtered = filter_self_citations(record, config.self_citation_mode)
-    return rank_contemporary(filtered, resolve_now_year(filtered, config), config)
+def _trend(view):
+    config, now = view.config, view.part("now_year")
+    return h_index([_trend_score(pub, now, config)
+                    for pub in view.part("filtered").publications])
+
+
+def _normalized(view):
+    n_p = len(require_publications(view.record))
+    return h_index(view.part("vector")) / n_p
+
+
+def _age_weighted(view):
+    h = h_index(view.part("vector"))
+    if h == 0:
+        return 0.0
+    now = view.part("raw_now_year")
+    return sqrt(sum(pub.citations() / _age(now, pub.year, "publication")
+                    for pub in view.part("ranked")[:h]))
+
+
+def _per_career_year(view):
+    first = min(p.year for p in require_publications(view.record))
+    career_years = view.part("raw_now_year") - first + 1
+    return h_index(view.part("vector")) / career_years
+
+
+VIEW_INDICES = {"h_contemporary": _contemporary, "h_trend": _trend,
+                "h_norm_output": _normalized, "ar": _age_weighted,
+                "m_quotient": _per_career_year}
 
 
 def contemporary_h(record, config=None):
     """h-style scan over per-publication scores gamma * age**(-delta) * citations."""
-    return h_index(contemporary_scores(record, config).scores)
-
-
-def trend_scores(record, config=None):
-    config = _config(config)
-    filtered = filter_self_citations(record, config.self_citation_mode)
-    return rank_trend(filtered, resolve_now_year(filtered, config), config)
+    return _contemporary(prepare(record, config))
 
 
 def trend_h(record, config=None):
     """h-style scan over scores that sum a decayed weight per citation event."""
-    return h_index(trend_scores(record, config).scores)
+    return _trend(prepare(record, config))
 
 
 def normalized_h_output(record, config=None):
     """h divided by the number of publications."""
-    n_p = len(require_publications(record))
-    return h_index(citation_vector(record, _config(config))) / n_p
-
-
-def age_weighted_core(record, vector, resolve_now):
-    """sqrt of the h-core sum of citations/age; resolve_now() gives the
-    observation year and is called only when h > 0."""
-    h = h_index(vector)
-    if h == 0:
-        return 0.0
-    now = resolve_now()
-    year_of = {p.id: p.year for p in record.publications}
-    total = sum(
-        count / _age(now, year_of[pid], "publication")
-        for count, pid in zip(vector.counts[:h], vector.publication_ids[:h]))
-    return sqrt(total)
+    return _normalized(prepare(record, config))
 
 
 def ar_index(record, config=None):
     """Age-weighted analogue of R: sqrt of the h-core sum of citations/age."""
-    config = _config(config)
-    return age_weighted_core(record, citation_vector(record, config),
-                             lambda: resolve_now_year(record, config))
+    return _age_weighted(prepare(record, config))
 
 
 def m_quotient(record, config=None):
     """h divided by the career length in years (first publication to now)."""
-    config = _config(config)
-    first = min(p.year for p in require_publications(record))
-    career_years = resolve_now_year(record, config) - first + 1
-    return h_index(citation_vector(record, config)) / career_years
+    return _per_career_year(prepare(record, config))
 
 
 def _windowed_count(pub, cutoff):
@@ -169,12 +149,11 @@ def h_sequence(record, config=None, truncate_events_to_now=False):
     One pass over the publications, newest first: each window adds the
     publications of its start year, and h, which never falls as a window
     grows, rises while more than h counts exceed h."""
-    config = _config(config)
     require_publications(record)
-    filtered = filter_self_citations(record, config.self_citation_mode)
-    cutoff = resolve_now_year(filtered, config) if truncate_events_to_now else None
-    dated = sorted(((p.year, _windowed_count(p, cutoff)) for p in filtered.publications),
-                   reverse=True)
+    view = prepare(record, config)
+    cutoff = view.part("now_year") if truncate_events_to_now else None
+    dated = sorted(((p.year, _windowed_count(p, cutoff))
+                    for p in view.part("filtered").publications), reverse=True)
     last, first = dated[0][0], dated[-1][0]
     if last - first + 1 > MAX_SEQUENCE_WINDOWS:
         raise DomainError(

@@ -2,7 +2,13 @@
 
 import random
 
+from hypothesis import strategies as st
+
 from citemetrics import CitationEvent, CitationRecord, Publication
+
+# Spellings that normalise to three identities, so owners, co-authors and
+# citing authors overlap in every combination.
+AUTHOR_NAMES = ("Ann Lee", " ann lee", "Bo Chen", "BO CHEN", "Cy Diaz")
 
 
 def random_vectors(count, seed):
@@ -41,6 +47,24 @@ def random_event_record(rnd, entity="R", single_year=None):
 def random_event_records(count, seed):
     rnd = random.Random(seed)
     return [random_event_record(rnd, entity=f"R{i:03d}") for i in range(count)]
+
+
+def event_publications():
+    """Hypothesis strategy: 1-8 (year, authors, events) publications, each
+    event a (year, citing authors) pair, every name from AUTHOR_NAMES."""
+    names = st.lists(st.sampled_from(AUTHOR_NAMES), max_size=3).map(tuple)
+    return st.lists(st.integers(2000, 2006).flatmap(lambda year: st.tuples(
+        st.just(year), names,
+        st.lists(st.tuples(st.integers(year, year + 4), names), max_size=12))),
+        min_size=1, max_size=8)
+
+
+def event_record(owner, pubs):
+    """The record of event_publications() data, publications p0, p1, ..."""
+    return CitationRecord(entity="R", owner_name=owner, publications=tuple(
+        Publication(id=f"p{i}", year=year, authors=authors,
+                    citation_events=tuple(CitationEvent(*event) for event in events))
+        for i, (year, authors, events) in enumerate(pubs)))
 
 
 def _average_ranks(values):

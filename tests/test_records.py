@@ -15,6 +15,8 @@ from citemetrics import (CitationEvent, CitationRecord, FidelityError,
                          record_to_dict, resolve_now_year, totals,
                          validate_record, write_record)
 from citemetrics import records
+from datagen import AUTHOR_NAMES, event_publications, event_record
+from vector_oracles import oracle_kept_events
 
 
 def _rec(*pubs, entity="X", owner=None):
@@ -247,6 +249,22 @@ def test_exclude_coauthor_removes_superset_of_exclude_own(citing_lists):
     n_own = filter_self_citations(record, "exclude_own").publications[0].citations()
     n_co = filter_self_citations(record, "exclude_coauthor").publications[0].citations()
     assert n_co <= n_own <= n_inc
+
+
+@given(st.none() | st.sampled_from(AUTHOR_NAMES), event_publications(),
+       st.sampled_from(["exclude_own", "exclude_coauthor"]))
+def test_filter_matches_oracle(owner, pubs, mode):
+    record = event_record(owner, pubs)
+    if mode == "exclude_own" and owner is None:
+        with pytest.raises(FidelityError, match="owner_name"):
+            filter_self_citations(record, mode)
+        return
+    filtered = filter_self_citations(record, mode)
+    assert [[(e.year, e.citing_authors) for e in pub.citation_events]
+            for pub in filtered.publications] == [
+        oracle_kept_events(authors, events, owner, mode) for _, authors, events in pubs]
+    assert [(p.id, p.year, p.authors) for p in filtered.publications] == [
+        (p.id, p.year, p.authors) for p in record.publications]
 
 
 # ---------------------------------------------------------------------------

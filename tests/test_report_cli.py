@@ -1,16 +1,19 @@
 import csv
 import dataclasses
+import gc
 import json
 import math
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 from citemetrics import (CitationEvent, CitationRecord, FidelityError,
-                         IndexConfig, Publication, compute_report,
-                         record_to_dict, write_record)
-from citemetrics import coauthor, records, report, temporal
+                         IndexConfig, Publication, authored_vector,
+                         citation_vector, compute_report, record_to_dict,
+                         write_record)
+from citemetrics import records, report, temporal
 from citemetrics.cli import main
 from citemetrics.report import REPORT_INDEX_KEYS, format_value, render_json
 from conftest import FIXTURES, GOLDEN
@@ -59,8 +62,8 @@ def filter_calls(monkeypatch):
         calls.append(mode)
         return real(record, mode)
 
-    for module in (records, report, temporal, coauthor):
-        monkeypatch.setattr(module, "filter_self_citations", counting)
+    # records.prepare is the one caller; every index filters through it
+    monkeypatch.setattr(records, "filter_self_citations", counting)
     return calls
 
 
@@ -105,6 +108,37 @@ def test_unavailable_messages_per_key(record, config, message, exceptions):
     assert rep.values == {}
     assert rep.unavailable == {key: exceptions.get(key, message)
                                for key in REPORT_INDEX_KEYS}
+
+
+_OWN = IndexConfig(self_citation_mode="exclude_own")
+
+
+@pytest.mark.parametrize("call", [
+    lambda record: citation_vector(record, _OWN),
+    lambda record: authored_vector(record),
+    lambda record: temporal.trend_h(record, _OWN),
+    lambda record: temporal.ar_index(record, _OWN),
+    lambda record: temporal.m_quotient(record, _OWN),
+    lambda record: temporal.h_sequence(record, _OWN),
+    lambda record: compute_report(record, _OWN, strict=True),
+])
+def test_a_raising_index_frees_its_record_without_collection(call):
+    # The prepared view keeps a part's error for the next index that asks;
+    # it must not hold the record in a reference cycle.
+    record = CitationRecord(entity="counts", publications=(
+        Publication(id="p", year=2000, citation_count=3),))
+    freed = []
+    weakref.finalize(record, freed.append, True)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.raises(FidelityError):
+            call(record)
+        del record
+        assert freed
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def test_format_value_rules():
@@ -401,6 +435,19 @@ def test_emit_plot_filters_once(capsys, tmp_path, filter_calls):
                                "exclude-own", "--emit-plot", str(tmp_path / "plot.csv")])
     assert code == 0
     assert filter_calls == ["exclude_own"]
+
+
+def test_compare_keeps_citation_vectors_only_for_emit_plot(
+        capsys, tmp_path, monkeypatch, classified_paths):
+    rendered = []
+    real = report.render_compare
+    monkeypatch.setattr(report, "render_compare",
+                        lambda reports, *args: rendered.append(reports) or real(reports, *args))
+    argv = ["compare", "--inputs", *_classified_args(classified_paths), "--indices", "h,g"]
+    assert _run(capsys, argv)[0] == 0
+    assert [rep.vector for rep in rendered[-1]] == [None] * len(CLASSIFIED_ORDER)
+    assert _run(capsys, argv + ["--emit-plot", str(tmp_path / "plot.csv")])[0] == 0
+    assert None not in [rep.vector for rep in rendered[-1]]
 
 
 def test_emit_plot_omits_unavailable_citation_series(capsys, tmp_path, classified_paths):

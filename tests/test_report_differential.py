@@ -17,10 +17,8 @@ from citemetrics import (CitationEvent, CitationRecord, DomainError,
                          temporal, validate_record)
 from citemetrics.records import SELF_CITATION_MODES
 from citemetrics.report import REPORT_INDEX_KEYS
+from datagen import AUTHOR_NAMES as NAMES
 
-# Spellings that normalise to three identities, so owners, co-authors and
-# citing authors overlap in every combination.
-NAMES = ("Ann Lee", " ann lee", "Bo Chen", "BO CHEN", "Cy Diaz")
 _UNAVAILABLE = (FidelityError, UndefinedInputError, DomainError)
 
 _VECTOR = {

@@ -10,8 +10,12 @@ from citemetrics import (CitationEvent, CitationRecord, DomainError,
                          contemporary_h, h_index, h_matrix, h_sequence,
                          m_quotient, normalized_h_output, r_index, trend_h)
 from citemetrics.cli import main
+from citemetrics.records import SELF_CITATION_MODES
 from citemetrics.temporal import MAX_SEQUENCE_WINDOWS
-from vector_oracles import (contemporary_score_vector, oracle_contemporary_h,
+from datagen import AUTHOR_NAMES, event_publications, event_record
+from vector_oracles import (contemporary_score_vector, oracle_ar,
+                            oracle_contemporary_h, oracle_h_norm_output,
+                            oracle_kept_events, oracle_m_quotient,
                             oracle_sequence, oracle_trend_h, trend_score_vector)
 
 
@@ -308,3 +312,20 @@ def test_trend_h_matches_oracle(pubs, gamma, delta, offset):
     config = IndexConfig(now_year=now, gamma=gamma, delta=delta)
     want = oracle_trend_h(pubs, latest if now is None else now, gamma, delta)
     assert trend_h(record, config) == want
+
+
+@given(st.sampled_from(AUTHOR_NAMES), event_publications(),
+       st.sampled_from(SELF_CITATION_MODES), _now_offsets)
+def test_ar_m_quotient_and_h_norm_output_match_oracles(owner, pubs, mode, offset):
+    record = event_record(owner, pubs)
+    # the citations that survive filtering, dated by the raw record
+    triples = [(f"p{i}", year, len(events if mode == "include"
+                                   else oracle_kept_events(authors, events, owner, mode)))
+               for i, (year, authors, events) in enumerate(pubs)]
+    latest = max(y for year, _, events in pubs for y in [year, *(e for e, _ in events)])
+    now = latest if offset is None else latest + offset
+    config = IndexConfig(now_year=None if offset is None else now, self_citation_mode=mode)
+    assert ar_index(record, config) == oracle_ar(triples, now)
+    assert m_quotient(record, config) == oracle_m_quotient(triples, now)
+    assert normalized_h_output(record, config) == oracle_h_norm_output(
+        [c for _, _, c in triples])

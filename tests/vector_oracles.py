@@ -145,3 +145,42 @@ def oracle_hi(pairs, center):
     middle = h // 2
     median = authors[middle] if h % 2 else (authors[middle - 1] + authors[middle]) / 2
     return h / median
+
+
+def _rank(pubs):
+    """(id, year, citations) triples ranked by citations descending, ties by
+    year, then id, ascending."""
+    return sorted(pubs, key=lambda pub: (-pub[2], pub[1], pub[0]))
+
+
+def oracle_ar(pubs, now):
+    """Square root of the sum of citations/age over the h-core of (id, year,
+    citations) triples, summed in rank order, ages counted to now."""
+    ranked = _rank(pubs)
+    h = oracle_h([c for _, _, c in ranked])
+    return math.sqrt(sum(c / (now - year + 1) for _, year, c in ranked[:h]))
+
+
+def oracle_m_quotient(pubs, now):
+    """h of (id, year, citations) triples over the career length in years,
+    first publication to now inclusive."""
+    return oracle_h([c for _, _, c in pubs]) / (now - min(y for _, y, _ in pubs) + 1)
+
+
+def oracle_h_norm_output(counts):
+    return oracle_h(counts) / len(counts)
+
+
+def _same_author(a, b):
+    return a.strip().casefold() == b.strip().casefold()
+
+
+def oracle_kept_events(authors, events, owner, mode):
+    """The (year, citing authors) events of one publication that are not
+    self-citations.  Under exclude_own an event is one when a citing author
+    is the owner; under exclude_coauthor when a citing author is the owner
+    or one of the publication's authors.  Names match after trimming and
+    case-folding, each pair compared on its own."""
+    blocked = [owner] if mode == "exclude_own" else [*authors, *([owner] if owner else [])]
+    return [(year, citing) for year, citing in events
+            if not any(_same_author(c, b) for c in citing for b in blocked)]
