@@ -11,6 +11,24 @@ from citemetrics import (CitationRecord, FidelityError, Publication,
 pair_lists = st.lists(st.tuples(st.integers(min_value=0, max_value=60),
                                 st.integers(min_value=1, max_value=10)),
                       max_size=25)
+# (citations, authors, year): the year, and the id from the position, set
+# the record tie order among equal citation counts
+authored_pubs = st.lists(st.tuples(st.integers(min_value=0, max_value=8),
+                                   st.integers(min_value=1, max_value=4),
+                                   st.integers(min_value=2000, max_value=2001)),
+                         max_size=12)
+
+
+def _authored_data(pubs):
+    """The publications as plain (citations, authors) pairs in the given
+    order, as a record's prepared authored vector, and as the oracle's pairs
+    ranked by the record tie rule."""
+    record = CitationRecord(entity="X", publications=tuple(
+        Publication(id=f"p{i}", year=year, author_count=a, citation_count=c)
+        for i, (c, a, year) in enumerate(pubs)))
+    ranked = vo.oracle_authored_pairs(
+        [(f"p{i}", year, c, a) for i, (c, a, year) in enumerate(pubs)])
+    return [(c, a) for c, a, _ in pubs], authored_vector(record), ranked
 
 
 def test_authored_vector_orders_and_requires_authors():
@@ -61,9 +79,11 @@ def test_hi_oracle_on_hand_computed_cores(pairs, mean, median):
 
 
 @pytest.mark.parametrize("center", ["mean", "median"])
-@given(pairs=pair_lists)
-def test_hi_matches_oracle(pairs, center):
+@given(pubs=authored_pubs)
+def test_hi_matches_oracle(pubs, center):
+    pairs, vector, ranked = _authored_data(pubs)
     assert hi_index(pairs, center) == vo.oracle_hi(pairs, center)
+    assert hi_index(vector, center) == vo.oracle_hi(ranked, center)
 
 
 def test_pure_h_cases():
@@ -79,6 +99,17 @@ def test_pure_h_score_override():
     pairs = [(9, 4), (8, 4), (7, 4), (6, 4)]
     # equal shares of 1/2 mean two equivalent authors regardless of the count
     assert pure_h(pairs, scores=[0.5, 0.5, 0.5, 0.5]) == pytest.approx(4 / math.sqrt(2))
+
+
+@given(authored_pubs, st.data())
+def test_pure_h_matches_oracle(pubs, data):
+    pairs, vector, ranked = _authored_data(pubs)
+    assert pure_h(pairs) == vo.oracle_pure_h(pairs)
+    assert pure_h(vector) == vo.oracle_pure_h(ranked)
+    scores = data.draw(st.lists(st.floats(min_value=0.05, max_value=1.0),
+                                min_size=len(pubs), max_size=len(pubs)))
+    assert pure_h(pairs, scores) == vo.oracle_pure_h(pairs, scores)
+    assert pure_h(vector, scores) == vo.oracle_pure_h(ranked, scores)
 
 
 def test_schreiber_hand_accumulations():
@@ -102,9 +133,11 @@ def test_all_single_author_collapse(pairs):
     assert schreiber_hm(pairs) == h
 
 
-@given(pair_lists)
-def test_schreiber_matches_oracle(pairs):
+@given(authored_pubs)
+def test_schreiber_matches_oracle(pubs):
+    pairs, vector, ranked = _authored_data(pubs)
     assert schreiber_hm(pairs) == vo.oracle_schreiber_hm(pairs)
+    assert schreiber_hm(vector) == vo.oracle_schreiber_hm(ranked)
 
 
 @given(pair_lists)

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import vector_oracles as vo
-from citemetrics import (DomainError, IndexConfig, a_index, citation_vector,
-                         compute_report, f_index, g_index, h2_index,
-                         h_alpha_predict, h_core_cv, h_core_sum, h_index,
-                         hw_index, maxprod, r_index, rm_index, rmcv_index,
-                         t_index, w_index)
+from citemetrics import (CitationRecord, DomainError, IndexConfig, Publication,
+                         a_index, citation_vector, compute_report, f_index,
+                         g_index, h2_index, h_alpha_predict, h_core_cv,
+                         h_core_sum, h_index, hw_index, maxprod, r_index,
+                         rm_index, rmcv_index, t_index, w_index)
 from golden_values import CLASSIFIED_PRINTED, EQUAL_H_PRINTED, NEW_INDEX_PRINTED
 
 counts_lists = st.lists(st.integers(min_value=0, max_value=200), max_size=40)
@@ -171,17 +171,39 @@ def test_core_values_through_report(equal_h_records):
 # Oracle equivalence and invariants (spot versions; the full seeded corpus
 # lives in the acceptance suite)
 
-@given(counts_lists)
-def test_matches_definitional_oracles(counts):
-    assert h_index(counts) == vo.oracle_h(counts)
-    assert g_index(counts, "bounded") == vo.oracle_g(counts, "bounded")
-    assert g_index(counts, "unbounded") == vo.oracle_g(counts, "unbounded")
-    assert h2_index(counts) == vo.oracle_h2(counts)
-    assert w_index(counts) == vo.oracle_w(counts)
-    assert maxprod(counts) == vo.oracle_maxprod(counts)
-    assert f_index(counts) == vo.oracle_f(counts)
-    assert t_index(counts) == vo.oracle_t(counts)
-    assert hw_index(counts) == vo.oracle_hw(counts)
+def _counts_record(counts):
+    return CitationRecord(entity="X", publications=tuple(
+        Publication(id=f"p{i}", year=2000, citation_count=c)
+        for i, c in enumerate(counts)))
+
+
+_ORACLES = [
+    (h_index, vo.oracle_h), (h2_index, vo.oracle_h2), (w_index, vo.oracle_w),
+    (maxprod, vo.oracle_maxprod), (f_index, vo.oracle_f), (t_index, vo.oracle_t),
+    (hw_index, vo.oracle_hw), (a_index, vo.oracle_a), (r_index, vo.oracle_r),
+    (rm_index, vo.oracle_r_m), (h_core_cv, vo.oracle_h_core_cv),
+    (rmcv_index, vo.oracle_r_m_cv),
+    (lambda v: g_index(v, "bounded"), lambda c: vo.oracle_g(c, "bounded")),
+    (lambda v: g_index(v, "unbounded"), lambda c: vo.oracle_g(c, "unbounded")),
+]
+
+
+def _h_alpha(v, alpha):
+    try:
+        return h_alpha_predict(h_index(v), sum(v), alpha)
+    except DomainError:
+        return None
+
+
+@given(counts_lists, st.sampled_from([-0.1, -1.0, 0.5]))
+def test_matches_definitional_oracles(counts, alpha):
+    # each index on the plain list and on the record's prepared citation
+    # vector, which it reads as it is
+    vector = citation_vector(_counts_record(counts))
+    for index, oracle in _ORACLES:
+        assert index(counts) == index(vector) == oracle(counts)
+    assert (_h_alpha(counts, alpha) == _h_alpha(vector.counts, alpha)
+            == vo.oracle_h_alpha(counts, alpha))
 
 
 @given(positive_counts)

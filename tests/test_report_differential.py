@@ -5,8 +5,12 @@ also exposes each index as a function of a record (or of its citation or
 authored vector).  On random records, with owners, co-authors that overlap
 the citing authors and counts-only publications among event-level ones,
 each key's report value, or its unavailable message, must equal what the
-stand-alone function returns or raises.
+stand-alone function returns or raises.  Every citation- and
+authored-vector key must also equal its brute-force oracle in
+vector_oracles, which filters, ranks and scans the record on its own.
 """
+
+import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +22,7 @@ from citemetrics import (CitationEvent, CitationRecord, DomainError,
 from citemetrics.records import SELF_CITATION_MODES
 from citemetrics.report import REPORT_INDEX_KEYS
 from datagen import AUTHOR_NAMES as NAMES
+import vector_oracles as vo
 
 _UNAVAILABLE = (FidelityError, UndefinedInputError, DomainError)
 
@@ -36,6 +41,18 @@ _AUTHORED = {
     "h_i_mean": lambda av: coauthor.hi_index(av, "mean"),
     "h_i_median": lambda av: coauthor.hi_index(av, "median"),
     "h_pure": coauthor.pure_h, "h_m_schreiber": coauthor.schreiber_hm,
+}
+
+_VECTOR_ORACLES = {
+    "h": vo.oracle_h, "a": vo.oracle_a, "r": vo.oracle_r, "h_w": vo.oracle_hw,
+    "h2": vo.oracle_h2, "w": vo.oracle_w, "maxprod": vo.oracle_maxprod,
+    "f": vo.oracle_f, "t": vo.oracle_t, "r_m": vo.oracle_r_m,
+    "h_core_cv": vo.oracle_h_core_cv, "r_m_cv": vo.oracle_r_m_cv,
+}
+_AUTHORED_ORACLES = {
+    "h_i_mean": lambda pairs: vo.oracle_hi(pairs, "mean"),
+    "h_i_median": lambda pairs: vo.oracle_hi(pairs, "median"),
+    "h_pure": vo.oracle_pure_h, "h_m_schreiber": vo.oracle_schreiber_hm,
 }
 
 
@@ -123,3 +140,53 @@ def test_every_report_key_equals_its_stand_alone_function(data):
     first = next((outcome for outcome in expected.values()
                   if outcome[0] == "unavailable"), None)
     assert _outcome(compute_report, record, config, None, True) == (first or ("value", rep))
+
+
+def _oracle_publications(record, mode):
+    """(id, year, citations, author count) of every publication, counted
+    after the oracle's own self-citation filter; None when the mode needs
+    an owner or citation events the record lacks."""
+    if mode == "exclude_own" and record.owner_name is None:
+        return None
+    pubs = []
+    for pub in record.publications:
+        if mode == "include":
+            count = pub.citations()
+        elif pub.citation_events is None:
+            return None
+        else:
+            count = len(vo.oracle_kept_events(
+                pub.authors, [(e.year, e.citing_authors) for e in pub.citation_events],
+                record.owner_name, mode))
+        pubs.append((pub.id, pub.year, count, pub.effective_author_count()))
+    return pubs
+
+
+def _oracle_values(record, config):
+    pubs = _oracle_publications(record, config.self_citation_mode)
+    if pubs is None:
+        return {}
+    counts = [c for _, _, c, _ in pubs]
+    expected = {key: oracle(counts) for key, oracle in _VECTOR_ORACLES.items()}
+    expected["g"] = vo.oracle_g(counts, config.g_convention)
+    h_alpha = vo.oracle_h_alpha(counts, config.alpha_predictive)
+    if h_alpha is not None:
+        expected["h_alpha"] = h_alpha
+    if all(authors is not None for *_, authors in pubs):
+        pairs = vo.oracle_authored_pairs(pubs)
+        expected.update({key: oracle(pairs) for key, oracle in _AUTHORED_ORACLES.items()})
+    return expected
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_every_vector_key_equals_its_oracle(data):
+    # the citation- and authored-vector keys that are available are exactly
+    # those the oracles define, each with the oracle's value
+    record = data.draw(records())
+    config = data.draw(configs(record))
+    config = dataclasses.replace(config, alpha_predictive=data.draw(
+        st.sampled_from((-0.1, -1.0, 0.5))))
+    expected = _oracle_values(record, config)
+    rep = compute_report(record, config, [*_VECTOR, "g", "h_alpha", *_AUTHORED])
+    assert rep.values == expected

@@ -82,6 +82,50 @@ def oracle_hw(counts):
     return math.sqrt(sum(counts[:max(qualifying, default=0)]))
 
 
+def _h_core(counts):
+    """The h-core: the top oracle_h(counts) counts, descending."""
+    counts = sorted(counts, reverse=True)
+    return counts[:oracle_h(counts)]
+
+
+def oracle_a(counts):
+    core = _h_core(counts)
+    return sum(core) / len(core) if core else 0.0
+
+
+def oracle_r(counts):
+    return math.sqrt(sum(_h_core(counts)))
+
+
+def oracle_r_m(counts):
+    # square roots summed in rank order, highest count first
+    return math.sqrt(sum(math.sqrt(c) for c in _h_core(counts)))
+
+
+def oracle_h_core_cv(counts):
+    """Sample standard deviation (h - 1 divisor) of the h-core counts over
+    their mean; 0 when the core has at most one paper."""
+    core = _h_core(counts)
+    if len(core) <= 1:
+        return 0.0
+    mean = sum(core) / len(core)
+    return math.sqrt(sum((c - mean) ** 2 for c in core) / (len(core) - 1)) / mean
+
+
+def oracle_r_m_cv(counts):
+    return oracle_r_m(counts) - oracle_h_core_cv(counts)
+
+
+def oracle_h_alpha(counts, alpha):
+    """sqrt(h**2 + alpha * N_c), or None where the radicand is negative or
+    not finite and the index is undefined."""
+    h = oracle_h(counts)
+    radicand = h * h + alpha * sum(counts)
+    if radicand < 0 or not math.isfinite(radicand):
+        return None
+    return math.sqrt(radicand)
+
+
 def _effective_rank(pairs, j):
     return sum(Fraction(1, authors) for _, authors in pairs[:j])
 
@@ -147,10 +191,33 @@ def oracle_hi(pairs, center):
     return h / median
 
 
+def oracle_pure_h(pairs, scores=None):
+    """h over the square root of the mean equivalent-author number of the
+    h-core, the (citations, authors) pairs ranked by citations with ties
+    kept in order.  The equivalent number is the author count, or 1/score
+    when per-entry credit scores, aligned with that ranking, are given."""
+    pairs = sorted(pairs, key=lambda p: -p[0])
+    h = oracle_h([c for c, _ in pairs])
+    if h == 0:
+        return 0.0
+    if scores is None:
+        equivalent = [a for _, a in pairs[:h]]
+    else:
+        equivalent = [1.0 / s for s in scores[:h]]
+    return h / math.sqrt(sum(equivalent) / h)
+
+
 def _rank(pubs):
-    """(id, year, citations) triples ranked by citations descending, ties by
-    year, then id, ascending."""
+    """(id, year, citations, ...) tuples ranked by citations descending,
+    ties by year, then id, ascending."""
     return sorted(pubs, key=lambda pub: (-pub[2], pub[1], pub[0]))
+
+
+def oracle_authored_pairs(pubs):
+    """(citations, authors) pairs of (id, year, citations, authors) tuples,
+    ranked by the record tie rule: citations descending, then year and id
+    ascending."""
+    return [(c, authors) for _, _, c, authors in _rank(pubs)]
 
 
 def oracle_ar(pubs, now):
