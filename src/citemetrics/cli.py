@@ -29,7 +29,7 @@ from .venue import (DEFAULT_REFERENCE_FIELD, FieldProfile, JournalWindow,
                     theoretical_h_estimate, vanraan_diagnostic)
 
 _INPUT_ERRORS = (RecordParseError, RecordValidationError, FidelityError,
-                 FileNotFoundError, IsADirectoryError, UnicodeDecodeError, csv.Error)
+                 OSError, UnicodeDecodeError, csv.Error)
 _DOMAIN_ERRORS = (DomainError, UndefinedInputError, DegenerateCohortError)
 
 

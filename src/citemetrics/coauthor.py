@@ -6,8 +6,8 @@ import math
 import statistics
 from fractions import Fraction
 
-from .core import h_index
-from .records import AuthoredVector, prepare  # AuthoredVector: re-exported
+from .core import _threshold_rank
+from .records import AuthoredVector, prepare
 
 
 def authored_vector(record, config=None):
@@ -18,18 +18,24 @@ def authored_vector(record, config=None):
 
 
 def _entries(av):
-    entries = getattr(av, "entries", av)
+    if isinstance(av, AuthoredVector):
+        return av.entries
     # stable sort: plain pair lists keep their given tie order
-    return sorted(((int(c), int(a)) for c, a in entries), key=lambda e: -e[0])
+    return sorted(((int(c), int(a)) for c, a in av), key=lambda e: -e[0])
+
+
+def _h_core_authors(av):
+    """The author counts of the h-core, in rank order."""
+    entries = _entries(av)
+    return [a for _, a in entries[:_threshold_rank(c for c, _ in entries)]]
 
 
 def hi_index(av, center="mean"):
     """h divided by the mean (or median) author count over the h-core."""
-    entries = _entries(av)
-    h = h_index([c for c, _ in entries])
+    core_authors = _h_core_authors(av)
+    h = len(core_authors)
     if h == 0:
         return 0.0
-    core_authors = [a for _, a in entries[:h]]
     if center == "mean":
         divisor = sum(core_authors) / h
     elif center == "median":
@@ -43,15 +49,14 @@ def pure_h(av, scores=None):
     """h divided by the square root of the mean equivalent-author number over
     the h-core.  By default each author holds an equal 1/author_count share,
     so the equivalent number is the author count itself; pass scores (one
-    credit share per entry, aligned with the sorted vector) to plug in a
-    positional weighting scheme."""
-    entries = _entries(av)
-    h = h_index([c for c, _ in entries])
+    credit share per entry, aligned with the rank order: an AuthoredVector's
+    entries as they are, plain pairs by citations descending with ties kept
+    in their given order) to plug in a positional weighting scheme."""
+    equivalent = _h_core_authors(av)
+    h = len(equivalent)
     if h == 0:
         return 0.0
-    if scores is None:
-        equivalent = [a for _, a in entries[:h]]
-    else:
+    if scores is not None:
         equivalent = [1.0 / s for s in list(scores)[:h]]
     return h / math.sqrt(sum(equivalent) / h)
 

@@ -28,17 +28,24 @@ def _descending(v):
     return sorted((int(c) for c in v), reverse=True)
 
 
-def h_index(v):
-    """Largest rank h whose paper has at least h citations.  Real-valued
-    scores are compared unrounded, so an overflowed (infinite) score counts."""
-    counts = v.counts if isinstance(v, CitationVector) else sorted(v, reverse=True)
+def _threshold_rank(counts, threshold=lambda rank: rank):
+    """Largest rank whose count reaches threshold(rank), the counts read as
+    they are, in descending order; by default the threshold is the rank
+    itself, which gives h."""
     best = 0
     for rank, count in enumerate(counts, start=1):
-        if count >= rank:
+        if count >= threshold(rank):
             best = rank
         else:
             break
     return best
+
+
+def h_index(v):
+    """Largest rank h whose paper has at least h citations.  Real-valued
+    scores are compared unrounded, so an overflowed (infinite) score counts."""
+    return _threshold_rank(
+        v.counts if isinstance(v, CitationVector) else sorted(v, reverse=True))
 
 
 def g_index(v, convention="bounded"):
@@ -69,7 +76,7 @@ def g_index(v, convention="bounded"):
 
 def _h_core(v):
     counts = _descending(v)
-    return counts[:h_index(counts)]
+    return counts[:_threshold_rank(counts)]
 
 
 def h_core_sum(v):
@@ -93,7 +100,7 @@ def hw_index(v):
     divided by h; the index is the square root of the citations down to the
     largest rank whose weighted rank still fits under its citation count."""
     counts = _descending(v)
-    h = h_index(counts)
+    h = _threshold_rank(counts)
     if h == 0:
         return 0.0
     running = 0
@@ -109,24 +116,12 @@ def hw_index(v):
 
 def h2_index(v):
     """Largest k whose k-th paper has at least k**2 citations."""
-    best = 0
-    for rank, count in enumerate(_descending(v), start=1):
-        if count >= rank * rank:
-            best = rank
-        else:
-            break
-    return best
+    return _threshold_rank(_descending(v), lambda rank: rank * rank)
 
 
 def w_index(v):
     """Largest w whose w-th paper has at least 10*w citations."""
-    best = 0
-    for rank, count in enumerate(_descending(v), start=1):
-        if count >= 10 * rank:
-            best = rank
-        else:
-            break
-    return best
+    return _threshold_rank(_descending(v), lambda rank: 10 * rank)
 
 
 def maxprod(v):

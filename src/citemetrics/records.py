@@ -136,7 +136,7 @@ class CitationVector:
 
 @dataclass(frozen=True)
 class AuthoredVector:
-    """(citation count, author count) pairs, citations descending."""
+    """(citation count, author count) integer pairs, citations descending."""
 
     entries: tuple
 
@@ -300,7 +300,7 @@ def _authored(view):
             raise FidelityError(
                 f"publication {pub.id!r} has no author count; "
                 "co-authorship indices need one")
-        entries.append((pub.citations(), n_authors))
+        entries.append((int(pub.citations()), int(n_authors)))
     return AuthoredVector(tuple(entries))
 
 

@@ -13,7 +13,7 @@ from citemetrics import (CitationEvent, CitationRecord, FidelityError,
                          IndexConfig, Publication, authored_vector,
                          citation_vector, compute_report, record_to_dict,
                          write_record)
-from citemetrics import records, report, temporal
+from citemetrics import coauthor, core, records, report, temporal
 from citemetrics.cli import main
 from citemetrics.report import REPORT_INDEX_KEYS, format_value, render_json
 from conftest import FIXTURES, GOLDEN
@@ -78,6 +78,42 @@ def test_report_filters_self_citations_once(filter_calls):
     rep = compute_report(_OWNED, IndexConfig(self_citation_mode="exclude_coauthor"))
     assert filter_calls == ["exclude_coauthor"]
     assert not rep.unavailable and rep.values["h"] == 2
+
+
+@pytest.fixture
+def sort_calls(monkeypatch):
+    """One entry per sorted() call that records, core or coauthor makes
+    during the test."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return sorted(*args, **kwargs)
+
+    for module in (records, core, coauthor):
+        monkeypatch.setattr(module, "sorted", counting, raising=False)
+    return calls
+
+
+def test_report_ranks_each_record_once(sort_calls):
+    # the ranking, then the contemporary and the trend score lists
+    rep = compute_report(_OWNED)
+    assert not rep.unavailable
+    assert len(sort_calls) == 3
+
+
+def test_index_functions_read_prepared_vectors_as_they_are(sort_calls):
+    vector, authored = citation_vector(_OWNED), authored_vector(_OWNED)
+    sort_calls.clear()
+    for index in (core.h_index, core.a_index, core.r_index, core.hw_index,
+                  core.h2_index, core.w_index, core.maxprod, core.f_index,
+                  core.t_index, core.rm_index, core.h_core_cv, core.rmcv_index,
+                  core.h_core_sum, lambda v: core.g_index(v, "unbounded")):
+        index(vector)
+    for index in (coauthor.hi_index, lambda av: coauthor.hi_index(av, "median"),
+                  coauthor.pure_h, coauthor.schreiber_hm):
+        index(authored)
+    assert sort_calls == []
 
 
 _NO_OWNER = CitationRecord(entity="anon", publications=(
@@ -480,10 +516,24 @@ def test_sorted_compare_plot_keeps_each_series_with_its_entity(
 # ---------------------------------------------------------------------------
 # Exit codes
 
-def test_missing_file_is_input_error(capsys):
-    code, _, err = _run(capsys, ["compute", "--input", "nope.json"])
-    assert code == 3
-    assert "error" in err
+_UNDER_A_FILE = str(FIXTURES / "cohort.csv" / "x.json")
+_TOO_LONG = "x" * 300
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--input", "nope.json"],
+    ["compute", "--input", _UNDER_A_FILE],
+    ["compute", "--input", str(FIXTURES / "equal_h_cohort" / "A.json"),
+     "--output", str(FIXTURES / "cohort.csv" / "out.txt")],
+    ["compute", "--input", _TOO_LONG + ".json"],
+    ["matrix", "--inputs", _TOO_LONG + ".csv"],
+    ["status", "--input", _TOO_LONG + ".csv"],
+], ids=["missing", "not-a-directory", "output-not-a-directory", "compute-name-too-long",
+        "matrix-name-too-long", "status-name-too-long"])
+def test_missing_file_is_input_error(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_validation_error_is_input_error(capsys, tmp_path):
