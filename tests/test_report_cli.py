@@ -516,15 +516,15 @@ def test_sorted_compare_plot_keeps_each_series_with_its_entity(
 # ---------------------------------------------------------------------------
 # Exit codes
 
-_UNDER_A_FILE = str(FIXTURES / "cohort.csv" / "x.json")
+_A_FILE = FIXTURES / "cohort.csv"
 _TOO_LONG = "x" * 300
 
 
 @pytest.mark.parametrize("argv", [
     ["compute", "--input", "nope.json"],
-    ["compute", "--input", _UNDER_A_FILE],
+    ["compute", "--input", str(_A_FILE / "x.json")],
     ["compute", "--input", str(FIXTURES / "equal_h_cohort" / "A.json"),
-     "--output", str(FIXTURES / "cohort.csv" / "out.txt")],
+     "--output", str(_A_FILE / "out.txt")],
     ["compute", "--input", _TOO_LONG + ".json"],
     ["matrix", "--inputs", _TOO_LONG + ".csv"],
     ["status", "--input", _TOO_LONG + ".csv"],
