@@ -4,19 +4,20 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import vector_oracles as vo
-from citemetrics import (CitationRecord, FidelityError, Publication,
-                         authored_vector, h_index, hi_index, pure_h,
+from citemetrics import (AuthoredVector, CitationRecord, FidelityError,
+                         Publication, authored_vector, h_index, hi_index, pure_h,
                          schreiber_hm)
 
 pair_lists = st.lists(st.tuples(st.integers(min_value=0, max_value=60),
                                 st.integers(min_value=1, max_value=10)),
                       max_size=25)
-# (citations, authors, year): the year, and the id from the position, set
-# the record tie order among equal citation counts
+# (citations, authors, year): small counts, so that equal counts straddle the
+# h-core often; the year, and the id from the position, set the record tie
+# order among them
 authored_pubs = st.lists(st.tuples(st.integers(min_value=0, max_value=8),
-                                   st.integers(min_value=1, max_value=4),
+                                   st.integers(min_value=1, max_value=10),
                                    st.integers(min_value=2000, max_value=2001)),
-                         max_size=12)
+                         max_size=25)
 
 
 def _authored_data(pubs):
@@ -43,6 +44,13 @@ def test_authored_vector_orders_and_requires_authors():
         Publication(id="a", year=2000, citation_count=9),))
     with pytest.raises(FidelityError, match="author count"):
         authored_vector(bare)
+
+
+def test_authored_vector_entries_are_read_as_they_are():
+    # an AuthoredVector is taken to hold integer pairs, citations descending,
+    # and is not sorted again; the same plain pairs are sorted first
+    assert schreiber_hm(AuthoredVector(((1, 1), (5, 1)))) == 2.0
+    assert schreiber_hm([(1, 1), (5, 1)]) == 1.0
 
 
 def test_hi_single_authored_is_h():
@@ -79,10 +87,11 @@ def test_hi_oracle_on_hand_computed_cores(pairs, mean, median):
 
 
 @pytest.mark.parametrize("center", ["mean", "median"])
-@given(pubs=authored_pubs)
-def test_hi_matches_oracle(pubs, center):
-    pairs, vector, ranked = _authored_data(pubs)
+@given(pairs=pair_lists, pubs=authored_pubs)
+def test_hi_matches_oracle(pairs, pubs, center):
     assert hi_index(pairs, center) == vo.oracle_hi(pairs, center)
+    given_order, vector, ranked = _authored_data(pubs)
+    assert hi_index(given_order, center) == vo.oracle_hi(given_order, center)
     assert hi_index(vector, center) == vo.oracle_hi(ranked, center)
 
 
@@ -101,14 +110,21 @@ def test_pure_h_score_override():
     assert pure_h(pairs, scores=[0.5, 0.5, 0.5, 0.5]) == pytest.approx(4 / math.sqrt(2))
 
 
-@given(authored_pubs, st.data())
-def test_pure_h_matches_oracle(pubs, data):
-    pairs, vector, ranked = _authored_data(pubs)
+def _scores(data, n):
+    return data.draw(st.lists(st.floats(min_value=0.05, max_value=1.0),
+                              min_size=n, max_size=n))
+
+
+@given(pair_lists, authored_pubs, st.data())
+def test_pure_h_matches_oracle(pairs, pubs, data):
     assert pure_h(pairs) == vo.oracle_pure_h(pairs)
-    assert pure_h(vector) == vo.oracle_pure_h(ranked)
-    scores = data.draw(st.lists(st.floats(min_value=0.05, max_value=1.0),
-                                min_size=len(pubs), max_size=len(pubs)))
+    scores = _scores(data, len(pairs))
     assert pure_h(pairs, scores) == vo.oracle_pure_h(pairs, scores)
+    given_order, vector, ranked = _authored_data(pubs)
+    assert pure_h(given_order) == vo.oracle_pure_h(given_order)
+    assert pure_h(vector) == vo.oracle_pure_h(ranked)
+    scores = _scores(data, len(pubs))
+    assert pure_h(given_order, scores) == vo.oracle_pure_h(given_order, scores)
     assert pure_h(vector, scores) == vo.oracle_pure_h(ranked, scores)
 
 
@@ -133,10 +149,11 @@ def test_all_single_author_collapse(pairs):
     assert schreiber_hm(pairs) == h
 
 
-@given(authored_pubs)
-def test_schreiber_matches_oracle(pubs):
-    pairs, vector, ranked = _authored_data(pubs)
+@given(pair_lists, authored_pubs)
+def test_schreiber_matches_oracle(pairs, pubs):
     assert schreiber_hm(pairs) == vo.oracle_schreiber_hm(pairs)
+    given_order, vector, ranked = _authored_data(pubs)
+    assert schreiber_hm(given_order) == vo.oracle_schreiber_hm(given_order)
     assert schreiber_hm(vector) == vo.oracle_schreiber_hm(ranked)
 
 
