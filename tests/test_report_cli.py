@@ -146,6 +146,15 @@ def test_unavailable_messages_per_key(record, config, message, exceptions):
                                for key in REPORT_INDEX_KEYS}
 
 
+def test_event_level_messages_name_what_needs_the_events():
+    needs = "publication 'p1' has no citation events; {} needs event-level data"
+    rep = compute_report(_COUNTS_ONLY, indices="h_trend")
+    assert rep.unavailable == {"h_trend": needs.format("trend scoring")}
+    with pytest.raises(FidelityError) as info:
+        temporal.h_sequence(_COUNTS_ONLY, truncate_events_to_now=True)
+    assert str(info.value) == needs.format("window-limited counting")
+
+
 _OWN = IndexConfig(self_citation_mode="exclude_own")
 
 
