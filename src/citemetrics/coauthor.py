@@ -32,17 +32,15 @@ def _h_core_authors(av):
 
 def hi_index(av, center="mean"):
     """h divided by the mean (or median) author count over the h-core."""
+    if center not in ("mean", "median"):
+        raise ValueError(f"unknown center {center!r}")
     core_authors = _h_core_authors(av)
     h = len(core_authors)
     if h == 0:
         return 0.0
     if center == "mean":
-        divisor = sum(core_authors) / h
-    elif center == "median":
-        divisor = statistics.median(core_authors)
-    else:
-        raise ValueError(f"unknown center {center!r}")
-    return h / divisor
+        return h / (sum(core_authors) / h)
+    return h / statistics.median(core_authors)
 
 
 def pure_h(av, scores=None):

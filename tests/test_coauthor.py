@@ -74,6 +74,13 @@ def test_hi_even_core_median_is_midpoint():
     assert hi_index(pairs, "median") == pytest.approx(4 / 2.5)
 
 
+@pytest.mark.parametrize("pairs", [[], [(0, 2)], [(5, 2)]],
+                         ids=["no-pairs", "empty-core", "core"])
+def test_hi_rejects_an_unknown_center_whatever_the_core(pairs):
+    with pytest.raises(ValueError, match="unknown center 'bogus'"):
+        hi_index(pairs, "bogus")
+
+
 @pytest.mark.parametrize("pairs, mean, median", [
     ([(9, 10), (8, 1), (7, 1), (6, 1)], 4 / 3.25, 4.0),
     ([(9, 5), (8, 3), (7, 2), (6, 1)], 4 / 2.75, 4 / 2.5),
