@@ -183,9 +183,7 @@ class SimConfig:
     Publications arrive Poisson(pub_rate) per year; each publication draws a
     latent citation rate from Gamma(gamma_shape, rate=gamma_rate), scaled by
     citation_rate_scale, and collects Poisson(rate) citations in every year
-    from its publication year through the career end.  lotka_alpha and
-    ageing_b parametrize the closed-form models built on top of the same
-    config.
+    from its publication year through the career end.
     """
 
     seed: int = 0
@@ -194,8 +192,6 @@ class SimConfig:
     pub_rate: float = 2.0
     gamma_shape: float = 3.0
     gamma_rate: float = 1.5
-    lotka_alpha: float = 2.0
-    ageing_b: float = 0.5
     citation_rate_scale: float = 1.0
 
     def __post_init__(self):
@@ -205,10 +201,6 @@ class SimConfig:
             raise DomainError("careers and career_years must be positive")
         if self.pub_rate <= 0 or self.gamma_shape <= 0 or self.gamma_rate <= 0:
             raise DomainError("pub_rate, gamma_shape and gamma_rate must be positive")
-        if not self.lotka_alpha > 1:
-            raise DomainError("lotka_alpha must exceed 1")
-        if not 0 < self.ageing_b < 1:
-            raise DomainError("ageing_b must lie in (0, 1)")
         if self.citation_rate_scale < 0:
             raise DomainError("citation_rate_scale must be non-negative")
         # Career-years alone are counted in exact integers first, so that
