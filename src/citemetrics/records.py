@@ -95,8 +95,9 @@ class CitationRecord:
 class IndexConfig:
     """Knobs shared by the index computations.
 
-    now_year defaults to the latest year appearing anywhere in the record
-    under evaluation, which keeps fixture files self-contained.  delta may be
+    now_year defaults to the latest year appearing anywhere in the record as
+    read, before any self-citation filtering, which keeps fixture files
+    self-contained and gives every index of a report one year.  delta may be
     zero (no ageing), which is what makes the decayed indices collapse onto
     the plain h-index.
     """
@@ -209,6 +210,15 @@ def resolve_now_year(record, config=None):
     return config.now_year
 
 
+def require_events(pub, purpose):
+    """The publication's citation events; FidelityError naming purpose when
+    the publication has counts only."""
+    if pub.citation_events is None:
+        raise FidelityError(f"publication {pub.id!r} has no citation events; "
+                            f"{purpose} needs event-level data")
+    return pub.citation_events
+
+
 def filter_self_citations(record, mode="include"):
     """Drop self-citations and recompute counts.
 
@@ -227,10 +237,7 @@ def filter_self_citations(record, mode="include"):
             f"record {record.entity!r}: exclude_own needs owner_name to be set")
     new_pubs = []
     for pub in record.publications:
-        if pub.citation_events is None:
-            raise FidelityError(
-                f"publication {pub.id!r} has no citation events; "
-                "self-citation filtering needs event-level data")
+        events = require_events(pub, "self-citation filtering")
         if mode == "exclude_own":
             blocked = {owner}
         else:
@@ -238,7 +245,7 @@ def filter_self_citations(record, mode="include"):
             if owner is not None:
                 blocked.add(owner)
         kept = tuple(
-            e for e in pub.citation_events
+            e for e in events
             if not blocked & {normalize_author(a) for a in e.citing_authors})
         count = len(kept) if pub.citation_count is not None else None
         new_pubs.append(Publication(
@@ -315,14 +322,15 @@ _BUILDERS = {
         counts=tuple(p.citations() for p in view.part("ranked")),
         publication_ids=tuple(p.id for p in view.part("ranked"))),
     "authored": _authored,
-    "now_year": lambda view: resolve_now_year(view.part("filtered"), view.config),
-    "raw_now_year": lambda view: resolve_now_year(view.record, view.config),
+    # One observation year per record, whatever the self-citation mode.
+    "now_year": lambda view: resolve_now_year(view.record, view.config),
 }
 
 
 def prepare(record, config=None):
     """The view every report index reads: the record with self-citations
-    filtered, publications ranked and now_year resolved, each at most once."""
+    filtered, publications ranked and now_year resolved (on the record as
+    read), each at most once."""
     return PreparedRecord(record, config if config is not None else IndexConfig())
 
 

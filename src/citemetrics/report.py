@@ -76,7 +76,7 @@ def select_indices(selection):
 
 def _config_echo(view):
     try:
-        now = view.part("raw_now_year")
+        now = view.part("now_year")
     except DomainError:
         now = view.config.now_year
     return {**asdict(view.config), "now_year": now}

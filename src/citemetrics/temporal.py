@@ -11,8 +11,8 @@ from heapq import heappop, heappush
 from math import sqrt
 
 from .core import h_index
-from .errors import DomainError, FidelityError, UndefinedInputError
-from .records import prepare
+from .errors import DomainError, UndefinedInputError
+from .records import prepare, require_events
 
 # Most windows h_sequence (and so each h_matrix row) computes: a record whose
 # publication years span more years than this is a DomainError.  Four
@@ -56,28 +56,25 @@ def require_publications(record):
 
 # The report keys this module defines, each a function of a records.prepare
 # view.  The stand-alone functions below evaluate through the same view.
+# Keys that score the filtered publications read them before now_year, so a
+# filter error is the one they report.
 
 def _contemporary(view):
-    config, now = view.config, view.part("now_year")
+    pubs, now, config = view.part("filtered").publications, view.part("now_year"), view.config
     return h_index([
         config.gamma * _age(now, pub.year, "publication") ** (-config.delta)
-        * pub.citations() for pub in view.part("filtered").publications])
+        * pub.citations() for pub in pubs])
 
 
 def _trend_score(pub, now, config):
-    if not pub.has_events:
-        raise FidelityError(
-            f"publication {pub.id!r} has no citation events; "
-            "trend scoring needs event-level data")
     return config.gamma * sum(
         _age(now, e.year, "citation event") ** (-config.delta)
-        for e in pub.citation_events)
+        for e in require_events(pub, "trend scoring"))
 
 
 def _trend(view):
-    config, now = view.config, view.part("now_year")
-    return h_index([_trend_score(pub, now, config)
-                    for pub in view.part("filtered").publications])
+    pubs, now, config = view.part("filtered").publications, view.part("now_year"), view.config
+    return h_index([_trend_score(pub, now, config) for pub in pubs])
 
 
 def _normalized(view):
@@ -89,14 +86,14 @@ def _age_weighted(view):
     h = h_index(view.part("vector"))
     if h == 0:
         return 0.0
-    now = view.part("raw_now_year")
+    now = view.part("now_year")
     return sqrt(sum(pub.citations() / _age(now, pub.year, "publication")
                     for pub in view.part("ranked")[:h]))
 
 
 def _per_career_year(view):
     first = min(p.year for p in require_publications(view.record))
-    career_years = view.part("raw_now_year") - first + 1
+    career_years = view.part("now_year") - first + 1
     return h_index(view.part("vector")) / career_years
 
 
@@ -133,11 +130,8 @@ def m_quotient(record, config=None):
 def _windowed_count(pub, cutoff):
     if cutoff is None:
         return pub.citations()
-    if not pub.has_events:
-        raise FidelityError(
-            f"publication {pub.id!r} has no citation events; "
-            "window-limited counting needs event-level data")
-    return sum(1 for e in pub.citation_events if e.year <= cutoff)
+    return sum(1 for e in require_events(pub, "window-limited counting")
+               if e.year <= cutoff)
 
 
 def h_sequence(record, config=None, truncate_events_to_now=False):
@@ -151,9 +145,9 @@ def h_sequence(record, config=None, truncate_events_to_now=False):
     grows, rises while more than h counts exceed h."""
     require_publications(record)
     view = prepare(record, config)
+    pubs = view.part("filtered").publications
     cutoff = view.part("now_year") if truncate_events_to_now else None
-    dated = sorted(((p.year, _windowed_count(p, cutoff))
-                    for p in view.part("filtered").publications), reverse=True)
+    dated = sorted(((p.year, _windowed_count(p, cutoff)) for p in pubs), reverse=True)
     last, first = dated[0][0], dated[-1][0]
     if last - first + 1 > MAX_SEQUENCE_WINDOWS:
         raise DomainError(

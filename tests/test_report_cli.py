@@ -338,6 +338,26 @@ def test_self_citations_flag(capsys, tmp_path):
     assert values["a"] == 5.0
 
 
+def test_default_now_year_ignores_self_citation_filtering(capsys, tmp_path):
+    # The only 2010 event is the owner's own citation.  The echoed now_year
+    # is 2010, and the age-weighted keys date the filtered record to it too.
+    record = CitationRecord(entity="late_self", owner_name="Olive Owner", publications=(
+        Publication(id="p1", year=2006, citation_events=(
+            CitationEvent(2006, ("Someone Else",)), CitationEvent(2010, ("Olive Owner",)))),
+        Publication(id="p2", year=2006,
+                    citation_events=(CitationEvent(2007, ("Someone Else",)),) * 2)))
+    path = tmp_path / "late_self.json"
+    write_record(record, path)
+    argv = ["compute", "--input", str(path), "--self-citations", "exclude-own",
+            "--indices", "h_contemporary,h_trend,ar", "--format", "json"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["now_year"] == 2010
+    assert (payload["values"]["h_contemporary"], payload["values"]["h_trend"]) == (1, 1)
+    assert _run(capsys, argv + ["--now-year", "2010"]) == (0, out, "")
+
+
 def test_counts_only_trend_is_partial_success(capsys, equal_h_paths):
     code, out, _ = _run(capsys, ["compute", "--input", str(equal_h_paths["A"]),
                                  "--indices", "h_trend"])

@@ -10,13 +10,16 @@ authored-vector key must also equal its brute-force oracle in
 vector_oracles, which filters, ranks and scans the record on its own.
 """
 
+from dataclasses import replace
+from itertools import product
+
 from hypothesis import given, settings, strategies as st
 
 from citemetrics import (CitationEvent, CitationRecord, DomainError,
                          FidelityError, IndexConfig, Publication,
                          UndefinedInputError, authored_vector,
                          citation_vector, coauthor, compute_report, core,
-                         temporal, validate_record)
+                         resolve_now_year, temporal, validate_record)
 from citemetrics.records import SELF_CITATION_MODES
 from citemetrics.report import REPORT_INDEX_KEYS
 from datagen import AUTHOR_NAMES as NAMES
@@ -139,6 +142,42 @@ def test_every_report_key_equals_its_stand_alone_function(data):
     first = next((outcome for outcome in expected.values()
                   if outcome[0] == "unavailable"), None)
     assert _outcome(compute_report, record, config, None, True) == (first or ("value", rep))
+
+
+@st.composite
+def late_self_cited(draw):
+    """A record from records(), often with an owner citation added to one
+    publication after every other year in the record, so that the latest
+    year holds only a citation that either exclude mode drops."""
+    record = draw(records())
+    events = [p for p in record.publications if p.citation_events is not None]
+    if not events or not draw(st.booleans()):
+        return record
+    owner = record.owner_name or draw(st.sampled_from(NAMES))
+    late = CitationEvent(resolve_now_year(record) + draw(st.integers(1, 3)), (owner,))
+    pub = draw(st.sampled_from(events))
+    count = None if pub.citation_count is None else pub.citation_count + 1
+    cited = replace(pub, citation_events=pub.citation_events + (late,), citation_count=count)
+    return validate_record(replace(record, owner_name=owner, publications=tuple(
+        cited if p is pub else p for p in record.publications)))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_the_echoed_now_year_reproduces_the_report(data):
+    # One observation year per record: in every self-citation mode, with
+    # now_year as drawn and unset, running again with the now_year the
+    # report echoes changes no value and no unavailable message.
+    record = data.draw(late_self_cited())
+    drawn = data.draw(configs(record))
+    for mode, now_year in product(SELF_CITATION_MODES, (drawn.now_year, None)):
+        config = replace(drawn, self_citation_mode=mode, now_year=now_year)
+        rep = compute_report(record, config)
+        echoed = replace(config, now_year=rep.config["now_year"])
+        again = compute_report(record, echoed)
+        assert (again.values, again.unavailable) == (rep.values, rep.unavailable)
+        assert (_outcome(compute_report, record, echoed, None, True)
+                == _outcome(compute_report, record, config, None, True))
 
 
 def _oracle_publications(record, mode):
