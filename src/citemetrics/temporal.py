@@ -60,7 +60,8 @@ def require_publications(record):
 # filter error is the one they report.
 
 def _contemporary(view):
-    pubs, now, config = view.part("filtered").publications, view.part("now_year"), view.config
+    pubs = view.part("filtered").publications
+    config, now = view.config, view.part("now_year")
     return h_index([
         config.gamma * _age(now, pub.year, "publication") ** (-config.delta)
         * pub.citations() for pub in pubs])
@@ -73,7 +74,8 @@ def _trend_score(pub, now, config):
 
 
 def _trend(view):
-    pubs, now, config = view.part("filtered").publications, view.part("now_year"), view.config
+    pubs = view.part("filtered").publications
+    config, now = view.config, view.part("now_year")
     return h_index([_trend_score(pub, now, config) for pub in pubs])
 
 
