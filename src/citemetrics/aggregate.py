@@ -92,13 +92,10 @@ def dynamic_h(t_sources, alpha, b, t):
 class TailFunction:
     """Survival function G(k) = P(X >= k) over integer thresholds k >= 0.
 
-    G must be non-increasing with G(0) <= 1.  k_max bounds the search for
-    inverse values; leave it None for parametric tails that decay on their
-    own.
+    G must be non-increasing with G(0) <= 1.
     """
 
     survival: object
-    k_max: int | None = None
 
     @classmethod
     def from_sample(cls, counts):
@@ -110,10 +107,10 @@ class TailFunction:
         def survival(k):
             return Fraction(n - bisect_left(data, k), n)
 
-        return cls(survival=survival, k_max=data[-1])
+        return cls(survival=survival)
 
     @classmethod
-    def discrete_pareto(cls, exponent, k_max=None):
+    def discrete_pareto(cls, exponent):
         """G(k) = k**(-exponent) for k >= 1 (the Price special case is this
         with its own exponent); exact fractions when the exponent is integral."""
         if exponent <= 0:
@@ -128,44 +125,19 @@ class TailFunction:
             def survival(k):
                 return 1.0 if k <= 1 else float(k) ** (-exponent)
 
-        return cls(survival=survival, k_max=k_max)
-
-
-def _tail_bound(tail, floor):
-    """Largest k with G(k) >= floor, found by doubling then bisection."""
-    if tail.k_max is not None:
-        return tail.k_max
-    hi = 1
-    while tail.survival(hi) >= floor:
-        hi *= 2
-        if hi > 2 ** 40:
-            raise DomainError("tail does not decay; supply k_max")
-    lo = hi // 2  # G(lo) >= floor > G(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if tail.survival(mid) >= floor:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        return cls(survival=survival)
 
 
 def glanzel_H(tail, n):
     """Extreme-value H: the largest r whose characteristic extreme value
-    u_r = max{k : G(k) >= r/n} still reaches r."""
+    u_r = max{k : G(k) >= r/n} still reaches r.  G never rises, so u_r >= r
+    exactly when G(r) >= r/n, and G is read at most H + 1 times."""
     if n < 1:
         raise DomainError("sample size must be positive")
-    u = _tail_bound(tail, Fraction(1, n))
-    best = 0
     for r in range(1, n + 1):
-        threshold = Fraction(r, n)
-        while u > 0 and tail.survival(u) < threshold:
-            u -= 1  # u_r is non-increasing in r; G(0) = 1 always qualifies
-        if u >= r:
-            best = r
-        else:
-            break
-    return best
+        if tail.survival(r) < Fraction(r, n):
+            return r - 1
+    return n
 
 
 # Largest expected ensemble, in career-years plus publications plus citation

@@ -220,19 +220,24 @@ def cmd_field(parser, args):
 def cmd_status(parser, args):
     points = []
     with open(args.input, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["entity", "n_p", "h"]:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["entity", "n_p", "h"]:
             raise RecordParseError(
                 f"{args.input}: line 1: cohort header must be entity,n_p,h")
-        for lineno, row in enumerate(reader, start=2):
+        # Blank rows are skipped and not counted, as for record CSVs.
+        for lineno, row in enumerate(filter(None, reader), start=2):
+            if len(row) != 3:
+                raise RecordParseError(
+                    f"{args.input}: line {lineno}: wrong number of columns")
+            entity, n_p, h = row
             try:
-                points.append((row["entity"], int(row["n_p"]), int(row["h"])))
-            except (TypeError, ValueError):
+                points.append((entity, int(n_p), int(h)))
+            except ValueError:
                 raise RecordParseError(
                     f"{args.input}: line {lineno}: bad cohort row") from None
-    by_entity = dict(research_status(points))
     header = ["entity", "n_p", "h", "residual"]
-    cohort = [[e, n, h, by_entity[e]] for e, n, h in points]
+    # Residuals pair with points by position: entity names may repeat.
+    cohort = [[e, n, h, r] for (e, n, h), (_, r) in zip(points, research_status(points))]
     table = [header] + [[e, str(n), str(h), f"{r:.4f}"] for e, n, h, r in cohort]
     _emit(report_mod.render(args.format,
                             {"cohort": [dict(zip(header, row)) for row in cohort]},

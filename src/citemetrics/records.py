@@ -171,10 +171,15 @@ def validate_record(record):
                 raise RecordValidationError(
                     f"publication {pub.id!r}: citation_count {pub.citation_count} "
                     f"does not match {len(pub.citation_events)} citation events")
-        if pub.citation_events:
-            years = [e.year for e in pub.citation_events]
-            if max(years) > INT64_MAX or min(years) < pub.year:
-                _raise_first_event_error(pub)
+        for event in pub.citation_events or ():
+            if event.year > INT64_MAX:  # the year check below bounds it from below
+                raise RecordValidationError(
+                    f"publication {pub.id!r}: citation event year does not fit "
+                    "in a signed 64-bit integer")
+            if event.year < pub.year:
+                raise RecordValidationError(
+                    f"publication {pub.id!r}: citation event year {event.year} "
+                    f"precedes publication year {pub.year}")
         if pub.author_count is not None and pub.author_count < 1:
             raise RecordValidationError(
                 f"publication {pub.id!r}: author_count must be at least 1")
@@ -182,18 +187,6 @@ def validate_record(record):
             raise RecordValidationError(
                 f"publication {pub.id!r}: author_count smaller than the author list")
     return record
-
-
-def _raise_first_event_error(pub):
-    for event in pub.citation_events:
-        if event.year > INT64_MAX:  # the year check below bounds it from below
-            raise RecordValidationError(
-                f"publication {pub.id!r}: citation event year does not fit "
-                "in a signed 64-bit integer")
-        if event.year < pub.year:
-            raise RecordValidationError(
-                f"publication {pub.id!r}: citation event year {event.year} "
-                f"precedes publication year {pub.year}")
 
 
 def resolve_now_year(record, config=None):
@@ -357,17 +350,6 @@ def _all_str(items):
     return True
 
 
-def _raise_event_error(raw_event, where):
-    """Name the first check a citation event fails (record_from_dict has
-    found that one does)."""
-    _require(isinstance(raw_event, dict), f"{where}: must be an object")
-    unknown = set(raw_event) - _EVENT_KEYS
-    if unknown:
-        raise RecordParseError(f"{where}: unknown field {sorted(unknown)[0]!r}")
-    _require(type(raw_event.get("year")) is int, f"{where}: field 'year' must be an integer")
-    raise RecordParseError(f"{where}: field 'citing_authors' must be a list of strings")
-
-
 def record_from_dict(data, source="<memory>"):
     """Build and validate a CitationRecord from the JSON-shaped dict."""
     _require(isinstance(data, dict), f"{source}: record must be a JSON object")
@@ -406,14 +388,20 @@ def record_from_dict(data, source="<memory>"):
             _require(isinstance(raw_events, list),
                      f"{where}: field 'citation_events' must be a list")
             events = []
-            for raw_event in raw_events:
-                if (isinstance(raw_event, dict) and _EVENT_KEYS.issuperset(raw_event)
-                        and type(raw_event.get("year")) is int):
+            for j, raw_event in enumerate(raw_events):
+                if not isinstance(raw_event, dict):
+                    problem = "must be an object"
+                elif not _EVENT_KEYS.issuperset(raw_event):
+                    problem = f"unknown field {sorted(set(raw_event) - _EVENT_KEYS)[0]!r}"
+                elif type(raw_event.get("year")) is not int:
+                    problem = "field 'year' must be an integer"
+                else:
                     citing = raw_event.get("citing_authors", [])
                     if isinstance(citing, list) and _all_str(citing):
                         events.append(CitationEvent(raw_event["year"], tuple(citing)))
                         continue
-                _raise_event_error(raw_event, f"{where}.citation_events[{len(events)}]")
+                    problem = "field 'citing_authors' must be a list of strings"
+                raise RecordParseError(f"{where}.citation_events[{j}]: {problem}")
             events = tuple(events)
         pubs.append(Publication(
             id=raw["id"], year=raw["year"], authors=tuple(authors),
@@ -536,33 +524,28 @@ def _parse_csv(path):
     return validate_record(record)
 
 
-def parse_record(path, format=None):
-    """Read a record file (JSON or CSV, inferred from the suffix when format
-    is not given) and return a validated CitationRecord."""
+def parse_record(path):
+    """Read a record file (JSON or CSV, by its suffix) and return a validated
+    CitationRecord."""
     # Cyclic garbage collection is paused while the record is built: parsing
     # makes many small acyclic, immutable objects, which collection passes
     # over the growing heap would only rescan.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _read_record(Path(path), format)
+        return _read_record(Path(path))
     finally:
         if gc_was_enabled:
             gc.enable()
 
 
-def _read_record(path, format):
-    if format is None:
-        suffix = path.suffix.lower()
-        format = {"": None, ".json": "json", ".csv": "csv"}.get(suffix)
-        if format is None:
-            raise RecordParseError(
-                f"{path}: cannot infer format from suffix {suffix!r}; pass format=")
+def _read_record(path):
+    suffix = path.suffix.lower()
+    if suffix not in (".json", ".csv"):
+        raise RecordParseError(f"{path}: cannot infer format from suffix {suffix!r}")
     try:
-        if format == "csv":
+        if suffix == ".csv":
             return _parse_csv(path)
-        if format != "json":
-            raise RecordParseError(f"{path}: unknown format {format!r}")
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise RecordParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None

@@ -95,8 +95,8 @@ def _age_weighted(view):
 
 def _per_career_year(view):
     first = min(p.year for p in require_publications(view.record))
-    career_years = view.part("now_year") - first + 1
-    return h_index(view.part("vector")) / career_years
+    h = h_index(view.part("vector"))
+    return h / (view.part("now_year") - first + 1)
 
 
 VIEW_INDICES = {"h_contemporary": _contemporary, "h_trend": _trend,

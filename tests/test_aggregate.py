@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import datagen
 from citemetrics import (CitationRecord, DomainError, Publication, SimConfig,
@@ -13,6 +14,7 @@ from citemetrics import (CitationRecord, DomainError, Publication, SimConfig,
                          totals)
 from citemetrics.aggregate import MAX_SIMULATION_SIZE
 from citemetrics.cli import main
+from vector_oracles import oracle_glanzel_H
 
 
 def _member(entity, counts):
@@ -125,8 +127,7 @@ def test_glanzel_on_empirical_tail_matches_h():
 
 
 def test_glanzel_degenerate_tail():
-    tail = TailFunction(survival=lambda k: Fraction(1) if k == 0 else Fraction(0),
-                        k_max=5)
+    tail = TailFunction(survival=lambda k: Fraction(1) if k == 0 else Fraction(0))
     assert glanzel_H(tail, 50) == 0
 
 
@@ -140,6 +141,34 @@ def test_glanzel_empirical_random_spot_check():
     for _ in range(50):
         sample = [rnd.randint(0, 100) for _ in range(rnd.randint(1, 40))]
         assert glanzel_H(TailFunction.from_sample(sample), len(sample)) == h_index(sample)
+
+
+def test_glanzel_discrete_pareto_float_exponents():
+    assert glanzel_H(TailFunction.discrete_pareto(1.5), 100) == 6
+    assert glanzel_H(TailFunction.discrete_pareto(2.5), 1000) == 7
+
+
+@given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=25),
+       st.integers(min_value=1, max_value=60))
+def test_glanzel_matches_oracle(sample, n):
+    assert glanzel_H(TailFunction.from_sample(sample), n) == oracle_glanzel_H(sample, n)
+
+
+def test_glanzel_reads_the_tail_at_most_H_plus_one_times():
+    tail = TailFunction.from_sample([10 ** 6] * 3 + [1] * 5)
+    calls = []
+
+    def survival(k):
+        calls.append(k)
+        return tail.survival(k)
+
+    H = glanzel_H(TailFunction(survival), 8)
+    assert H == 3
+    assert len(calls) <= H + 1
+
+
+def test_glanzel_tail_that_never_decays_gives_n():
+    assert glanzel_H(TailFunction(survival=lambda k: Fraction(1)), 12_345) == 12_345
 
 
 def test_simulation_is_deterministic():

@@ -1,8 +1,15 @@
-"""The README's library-layout table names only what its modules define."""
+"""The README's library-layout table, index-key list and CLI examples
+match what the package defines."""
 
 import importlib
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from citemetrics.cli import build_parser
+from citemetrics.report import REPORT_INDEX_KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +27,22 @@ def test_layout_table_names_exist():
     missing = [f"{module}.{name}" for module, names in rows for name in names
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_index_key_list_matches_report_keys():
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"Index keys \(stable public contract\): `([^`]+)`", text).group(1)
+    assert tuple(key.strip() for key in listed.split(",")) == REPORT_INDEX_KEYS
+
+
+def _cli_examples():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.DOTALL).group(1)
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("citemetrics "):
+            yield shlex.split(line.replace("[", "").replace("]", ""))[1:]
+
+
+@pytest.mark.parametrize("argv", list(_cli_examples()))
+def test_cli_examples_parse(argv):
+    build_parser().parse_args(argv)

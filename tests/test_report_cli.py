@@ -126,10 +126,9 @@ _OWNER_NEEDED = "exclude_own needs owner_name to be set"
 
 
 @pytest.mark.parametrize("record, config, message, exceptions", [
-    # the raw record's now_year is checked before filtering for m_quotient
+    # the filter is checked before now_year
     (_NO_OWNER, IndexConfig(self_citation_mode="exclude_own", now_year=1999),
-     f"record 'anon': {_OWNER_NEEDED}",
-     {"m_quotient": "now_year 1999 precedes publication year 2000"}),
+     f"record 'anon': {_OWNER_NEEDED}", {}),
     (_COUNTS_ONLY, IndexConfig(self_citation_mode="exclude_coauthor"),
      "publication 'p1' has no citation events; "
      "self-citation filtering needs event-level data", {}),
@@ -482,6 +481,23 @@ def test_status_command(capsys, tmp_path):
     assert float(rows[2][3]) == pytest.approx(1.0)
 
 
+def test_status_pairs_residuals_by_position(capsys, tmp_path):
+    path = tmp_path / "cohort.csv"
+    path.write_text("entity,n_p,h\nA,10,3\nA,20,9\nB,30,8\n")
+    code, out, _ = _run(capsys, ["status", "--input", str(path), "--format", "csv"])
+    assert code == 0
+    residuals = [float(row[3]) for row in list(csv.reader(out.splitlines()))[1:]]
+    assert residuals == pytest.approx([-7 / 6, 7 / 3, -7 / 6])
+
+
+def test_status_rejects_a_row_with_extra_columns(capsys, tmp_path):
+    path = tmp_path / "cohort.csv"
+    path.write_text("entity,n_p,h\na,10,3\n\nb,20,9,99\nc,30,8\n")
+    code, out, err = _run(capsys, ["status", "--input", str(path)])
+    assert (code, out) == (3, "")
+    assert err == f"error: {path}: line 3: wrong number of columns\n"
+
+
 def test_emit_plot(capsys, tmp_path, equal_h_paths):
     plot = tmp_path / "plot.csv"
     code, _, _ = _run(capsys, ["compute", "--input", str(equal_h_paths["A"]),
@@ -671,6 +687,41 @@ def test_parse_boundary_inputs_are_input_errors(capsys, tmp_path, command, name,
     code, out, err = _run(capsys, [command, "--input", str(path)])
     assert code == 3 and out == ""
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+_PUB = {"id": "p", "year": 2000, "citation_count": 1}
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("kind.json", json.dumps({"entity": "E", "kind": "planet", "publications": []}),
+     "record 'E': unknown kind 'planet'"),
+    ("negative.json", _json_with({**_PUB, "citation_count": -1}),
+     "publication 'p': citation_count must be non-negative"),
+    ("no-authors.json", _json_with({**_PUB, "author_count": 0}),
+     "publication 'p': author_count must be at least 1"),
+    ("few-authors.json", _json_with({**_PUB, "authors": ["A", "B"], "author_count": 1}),
+     "publication 'p': author_count smaller than the author list"),
+    ("field.json", _json_with({**_PUB, "venue": "J"}),
+     "{path}: publications[0]: unknown field 'venue'"),
+    ("record.txt", "{}", "{path}: cannot infer format from suffix '.txt'"),
+], ids=["kind", "negative-count", "no-authors", "few-authors", "unknown-field", "suffix"])
+def test_record_errors_name_their_check(capsys, tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    assert _run(capsys, ["compute", "--input", str(path)]) == (
+        3, "", f"error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--field-chi", "2"], "--field-chi needs --h and --reference-chi"),
+    (["--np", "100"], "theoretical estimate needs both --np and --chi"),
+    ([], "nothing to compute; pass --field-chi, --np/--chi or --nc"),
+], ids=["field-chi", "np-without-chi", "nothing"])
+def test_field_usage_errors_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["field", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
 
 @pytest.mark.parametrize("alpha, shown", [("nan", "nan"), ("1e308", "inf")])

@@ -80,8 +80,8 @@ class ParseTracker:
         self.calls = 0
         self.peak = 0
 
-    def __call__(self, path, format=None):
-        record = self._parse(path, format)
+    def __call__(self, path):
+        record = self._parse(path)
         self.calls += 1
         self._alive.add(self.calls)
         weakref.finalize(record, self._alive.discard, self.calls)

@@ -251,3 +251,18 @@ def oracle_kept_events(authors, events, owner, mode):
     blocked = [owner] if mode == "exclude_own" else [*authors, *([owner] if owner else [])]
     return [(year, citing) for year, citing in events
             if not any(_same_author(c, b) for c in citing for b in blocked)]
+
+
+def oracle_glanzel_H(sample, n):
+    """Glänzel's H of the empirical tail of a non-negative sample against
+    sample size n: the largest r in 1..n whose characteristic value
+    u_r = max{k : G(k) >= r/n} reaches r, every u_r found by trying each
+    k from 0 to the sample maximum, with G(k) the exact share of the sample
+    at k or above."""
+    def survival(k):
+        return Fraction(sum(1 for x in sample if x >= k), len(sample))
+
+    def u(r):
+        return max(k for k in range(max(sample) + 1) if survival(k) >= Fraction(r, n))
+
+    return max((r for r in range(1, n + 1) if u(r) >= r), default=0)
