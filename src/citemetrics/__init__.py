@@ -26,7 +26,7 @@ from .report import (IndexReport, REPORT_INDEX_KEYS, compute_report,
 from .temporal import (HMatrix, HSequence, ar_index, contemporary_h,
                        h_matrix, h_sequence, m_quotient,
                        normalized_h_output, trend_h)
-from .venue import (CohortPoint, FieldProfile, JournalWindow, field_factor,
+from .venue import (CohortPoint, FieldProfile, field_factor,
                     field_normalized_h, impact_factor, impact_index_hm,
                     relative_h, research_status, sri, theoretical_h_estimate,
                     vanraan_diagnostic)

@@ -21,31 +21,36 @@ from . import report as report_mod
 from .aggregate import CareerSummary, SimConfig, burrell_simulate, group_indices
 from .errors import (DegenerateCohortError, DomainError, FidelityError,
                      RecordParseError, RecordValidationError, UndefinedInputError)
-from .records import IndexConfig, parse_record
+from .records import G_CONVENTIONS, SELF_CITATION_MODES, IndexConfig, parse_record
 from .temporal import h_matrix, h_sequence
-from .venue import (DEFAULT_REFERENCE_FIELD, FieldProfile, JournalWindow,
-                    field_factor, field_normalized_h, impact_factor,
-                    impact_index_hm, relative_h, research_status, sri,
-                    theoretical_h_estimate, vanraan_diagnostic)
+from .venue import (DEFAULT_REFERENCE_FIELD, FieldProfile, field_factor,
+                    field_normalized_h, impact_factor, impact_index_hm,
+                    relative_h, research_status, sri, theoretical_h_estimate,
+                    vanraan_diagnostic)
 
 _INPUT_ERRORS = (RecordParseError, RecordValidationError, FidelityError,
                  OSError, UnicodeDecodeError, csv.Error)
 _DOMAIN_ERRORS = (DomainError, UndefinedInputError, DegenerateCohortError)
 
 
-def _add_config_flags(parser):
-    parser.add_argument("--now-year", type=int, default=None)
-    parser.add_argument("--gamma", type=float, default=4.0)
-    parser.add_argument("--delta", type=float, default=1.0)
-    parser.add_argument("--g-convention", choices=("bounded", "unbounded"),
-                        default="bounded")
-    parser.add_argument("--self-citations",
-                        choices=("include", "exclude-own", "exclude-coauthor"),
-                        default="include")
-    parser.add_argument("--alpha", type=float, default=-0.1,
-                        help="predictive-index coefficient")
-    parser.add_argument("--beta", type=float, default=0.4,
-                        help="impact-index size exponent")
+def _add_config_flags(parser, scoring):
+    """The IndexConfig flags, each stored under its field name."""
+    parser.add_argument("--now-year", type=int, default=IndexConfig.now_year)
+    if scoring:
+        parser.add_argument("--gamma", type=float, default=IndexConfig.gamma)
+        parser.add_argument("--delta", type=float, default=IndexConfig.delta)
+        parser.add_argument("--g-convention", choices=G_CONVENTIONS,
+                            default=IndexConfig.g_convention)
+    parser.add_argument("--self-citations", dest="self_citation_mode",
+                        choices=[m.replace("_", "-") for m in SELF_CITATION_MODES],
+                        default=IndexConfig.self_citation_mode.replace("_", "-"))
+    if scoring:
+        parser.add_argument("--alpha", dest="alpha_predictive", metavar="ALPHA",
+                            type=float, default=IndexConfig.alpha_predictive,
+                            help="predictive-index coefficient")
+        parser.add_argument("--beta", dest="beta_molinari", metavar="BETA",
+                            type=float, default=IndexConfig.beta_molinari,
+                            help="echoed as beta_molinari in the JSON config")
 
 
 def _add_output_flags(parser, default_format="table"):
@@ -54,13 +59,17 @@ def _add_output_flags(parser, default_format="table"):
     parser.add_argument("--output", default=None, help="write here instead of stdout")
 
 
+def _settings(config_class, args):
+    """The fields of config_class that the command's flags set."""
+    return {field.name: getattr(args, field.name)
+            for field in dataclasses.fields(config_class) if field.name in args}
+
+
 def _config_from(parser, args):
+    settings = _settings(IndexConfig, args)
+    settings["self_citation_mode"] = settings["self_citation_mode"].replace("-", "_")
     try:
-        return IndexConfig(
-            now_year=args.now_year, gamma=args.gamma, delta=args.delta,
-            g_convention=args.g_convention,
-            self_citation_mode=args.self_citations.replace("-", "_"),
-            alpha_predictive=args.alpha, beta_molinari=args.beta)
+        return IndexConfig(**settings)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -164,11 +173,7 @@ def cmd_group(parser, args):
 
 
 def cmd_simulate(parser, args):
-    config = SimConfig(seed=args.seed, careers=args.careers,
-                       career_years=args.years, pub_rate=args.pub_rate,
-                       gamma_shape=args.gamma_shape, gamma_rate=args.gamma_rate,
-                       citation_rate_scale=args.rate_scale)
-    _, summaries = burrell_simulate(config)
+    _, summaries = burrell_simulate(SimConfig(**_settings(SimConfig, args)))
     careers = [dataclasses.asdict(s) for s in summaries]
     header = [f.name for f in dataclasses.fields(CareerSummary)]
     rows = [header] + [list(c.values()) for c in careers]
@@ -179,22 +184,26 @@ def cmd_simulate(parser, args):
 
 
 def cmd_journal(parser, args):
-    window = JournalWindow(target_year=args.target_year,
-                           n_articles=args.articles, n_citations=args.citations,
-                           source_years=tuple(args.source_years or ()))
-    rows = [("impact_factor", impact_factor(window))]
+    if args.h is None and args.articles_in_year is not None:
+        parser.error("--articles-in-year needs --h")
+    if args.h is None and args.beta is not None:
+        parser.error("--beta needs --h")
+    rows = [("impact_factor", impact_factor(args.citations, args.articles))]
     if args.h is not None:
         articles_in_year = args.articles_in_year
         if articles_in_year is None:
             articles_in_year = args.articles
+        beta = () if args.beta is None else (args.beta,)
         rows.append(("relative_h", relative_h(args.h, articles_in_year)))
         rows.append(("sri", sri(args.h, args.articles)))
-        rows.append(("impact_index", impact_index_hm(args.h, args.articles, args.beta)))
+        rows.append(("impact_index", impact_index_hm(args.h, args.articles, *beta)))
     _emit_metrics(rows, args)
     return 0
 
 
 def cmd_field(parser, args):
+    if args.literal_radical and (args.np is None or args.chi is None):
+        parser.error("--literal-radical needs --np and --chi")
     rows = []
     if args.field_chi is not None:
         if args.h is None or args.reference_chi is None:
@@ -256,7 +265,7 @@ def build_parser():
     p.add_argument("--indices", default=None, help="comma list of index keys")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--emit-plot", default=None, metavar="PATH")
-    _add_config_flags(p)
+    _add_config_flags(p, scoring=True)
     _add_output_flags(p)
     p.set_defaults(func=cmd_compute)
 
@@ -266,7 +275,7 @@ def build_parser():
     p.add_argument("--sort-by", default=None, metavar="INDEX")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--emit-plot", default=None, metavar="PATH")
-    _add_config_flags(p)
+    _add_config_flags(p, scoring=True)
     _add_output_flags(p)
     p.set_defaults(func=cmd_compare)
 
@@ -274,14 +283,14 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--truncate-events", action="store_true",
                    help="count only events dated up to now_year")
-    _add_config_flags(p)
+    _add_config_flags(p, scoring=False)
     _add_output_flags(p)
     p.set_defaults(func=cmd_sequence)
 
     p = sub.add_parser("matrix", help="stacked h-sequences for a cohort")
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--truncate-events", action="store_true")
-    _add_config_flags(p)
+    _add_config_flags(p, scoring=False)
     _add_output_flags(p, default_format="csv")
     p.set_defaults(func=cmd_matrix)
 
@@ -296,24 +305,25 @@ def build_parser():
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("simulate", help="seeded stochastic career ensemble")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--careers", type=int, default=200)
-    p.add_argument("--years", type=int, default=30)
-    p.add_argument("--pub-rate", type=float, default=2.0)
-    p.add_argument("--gamma-shape", type=float, default=3.0)
-    p.add_argument("--gamma-rate", type=float, default=1.5)
-    p.add_argument("--rate-scale", type=float, default=1.0)
+    # Each flag is stored under its SimConfig field name.
+    p.add_argument("--seed", type=int, default=SimConfig.seed)
+    p.add_argument("--careers", type=int, default=SimConfig.careers)
+    p.add_argument("--years", dest="career_years", metavar="YEARS", type=int,
+                   default=SimConfig.career_years)
+    p.add_argument("--pub-rate", type=float, default=SimConfig.pub_rate)
+    p.add_argument("--gamma-shape", type=float, default=SimConfig.gamma_shape)
+    p.add_argument("--gamma-rate", type=float, default=SimConfig.gamma_rate)
+    p.add_argument("--rate-scale", dest="citation_rate_scale", metavar="RATE_SCALE",
+                   type=float, default=SimConfig.citation_rate_scale)
     _add_output_flags(p, default_format="csv")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("journal", help="impact factor and journal h variants")
     p.add_argument("--articles", type=int, required=True)
     p.add_argument("--citations", type=int, required=True)
-    p.add_argument("--target-year", type=int, default=2000)
-    p.add_argument("--source-years", type=int, nargs="*", default=None)
     p.add_argument("--articles-in-year", type=int, default=None)
     p.add_argument("--h", type=int, default=None)
-    p.add_argument("--beta", type=float, default=0.4)
+    p.add_argument("--beta", type=float, default=None)
     _add_output_flags(p)
     p.set_defaults(func=cmd_journal)
 

@@ -20,8 +20,12 @@ def authored_vector(record, config=None):
 def _entries(av):
     if isinstance(av, AuthoredVector):
         return av.entries
+    entries = [(int(c), int(a)) for c, a in av]
+    for _, a in entries:
+        if a < 1:
+            raise ValueError(f"author count {a} is below 1")
     # stable sort: plain pair lists keep their given tie order
-    return sorted(((int(c), int(a)) for c, a in av), key=lambda e: -e[0])
+    return sorted(entries, key=lambda e: -e[0])
 
 
 def _h_core_authors(av):
@@ -55,7 +59,10 @@ def pure_h(av, scores=None):
     if h == 0:
         return 0.0
     if scores is not None:
-        equivalent = [1.0 / s for s in list(scores)[:h]]
+        scores = list(scores)[:h]
+        if len(scores) < h:
+            raise ValueError(f"{len(scores)} scores for an h-core of {h}")
+        equivalent = [1.0 / s for s in scores]
     return h / math.sqrt(sum(equivalent) / h)
 
 

@@ -40,10 +40,11 @@ class HMatrix:
     rows: tuple
 
 
-def _age(now_year, year, what):
+def _event_age(now_year, year):
+    # Only an event can postdate now_year: resolve_now_year rejects a later publication.
     age = now_year - year + 1
     if age <= 0:
-        raise DomainError(f"{what} year {year} is after now_year {now_year}")
+        raise DomainError(f"citation event year {year} is after now_year {now_year}")
     return age
 
 
@@ -63,13 +64,13 @@ def _contemporary(view):
     pubs = view.part("filtered").publications
     config, now = view.config, view.part("now_year")
     return h_index([
-        config.gamma * _age(now, pub.year, "publication") ** (-config.delta)
+        config.gamma * (now - pub.year + 1) ** (-config.delta)
         * pub.citations() for pub in pubs])
 
 
 def _trend_score(pub, now, config):
     return config.gamma * sum(
-        _age(now, e.year, "citation event") ** (-config.delta)
+        _event_age(now, e.year) ** (-config.delta)
         for e in require_events(pub, "trend scoring"))
 
 
@@ -89,7 +90,7 @@ def _age_weighted(view):
     if h == 0:
         return 0.0
     now = view.part("now_year")
-    return sqrt(sum(pub.citations() / _age(now, pub.year, "publication")
+    return sqrt(sum(pub.citations() / (now - pub.year + 1)
                     for pub in view.part("ranked")[:h]))
 
 

@@ -13,30 +13,6 @@ DEFAULT_REFERENCE_FIELD = "physics"
 
 
 @dataclass(frozen=True)
-class JournalWindow:
-    """Aggregates for one impact-factor window: articles published in the
-    source years and the citations they received in the target year."""
-
-    target_year: int
-    n_articles: int
-    n_citations: int
-    source_years: tuple = ()
-
-    def __post_init__(self):
-        if not self.source_years:
-            object.__setattr__(self, "source_years",
-                               (self.target_year - 2, self.target_year - 1))
-        else:
-            object.__setattr__(self, "source_years", tuple(self.source_years))
-        if any(y >= self.target_year for y in self.source_years):
-            raise RecordValidationError("source years must precede the target year")
-        if self.n_articles < 0:
-            raise RecordValidationError("n_articles must be non-negative")
-        if self.n_citations < 0:
-            raise RecordValidationError("n_citations must be non-negative")
-
-
-@dataclass(frozen=True)
 class FieldProfile:
     """A research field with its mean citations per paper."""
 
@@ -77,11 +53,16 @@ def _finite(compute, what):
     return value
 
 
-def impact_factor(window):
-    """Citations in the target year divided by the source-window article count."""
-    if window.n_articles < 1:
+def impact_factor(n_citations, n_articles):
+    """Citations received in the target year by a journal's articles from the
+    source years, divided by the number of those articles."""
+    if n_articles < 0:
+        raise RecordValidationError("n_articles must be non-negative")
+    if n_citations < 0:
+        raise RecordValidationError("n_citations must be non-negative")
+    if n_articles < 1:
         raise UndefinedInputError("impact factor needs at least one source article")
-    return _finite(lambda: window.n_citations / window.n_articles, "impact factor")
+    return _finite(lambda: n_citations / n_articles, "impact factor")
 
 
 def relative_h(h, n_articles_in_year):

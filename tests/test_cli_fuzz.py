@@ -34,9 +34,11 @@ def _flag(name, values):
 _RECORD_FLAGS = st.tuples(
     _flag("--self-citations", st.sampled_from(["include", "exclude-own",
                                                "exclude-coauthor"])),
-    _flag("--now-year", _INT), _flag("--delta", _FLOAT),
+    _flag("--now-year", _INT),
     _flag("--format", st.sampled_from(["table", "json", "csv"])),
 ).map(lambda flags: sum(flags, []))
+# compute and compare alone take the scoring flags
+_DELTA = _flag("--delta", _FLOAT)
 
 
 def _reject_constant(token):
@@ -58,21 +60,23 @@ def _run(argv):
     return code
 
 
-@given(record=_RECORD, flags=_RECORD_FLAGS, strict=st.booleans(),
+@given(record=_RECORD, flags=_RECORD_FLAGS, delta=_DELTA, strict=st.booleans(),
        alpha=_flag("--alpha", _FLOAT), beta=_flag("--beta", _FLOAT))
-def test_compute_on_schema_shaped_records(tmp_path_factory, record, flags, strict, alpha,
-                                          beta):
+def test_compute_on_schema_shaped_records(tmp_path_factory, record, flags, delta, strict,
+                                          alpha, beta):
     path = tmp_path_factory.mktemp("fuzz") / "record.json"
     path.write_text(json.dumps(record))
-    _run(["compute", "--input", str(path), *flags, *alpha, *beta] + ["--strict"] * strict)
+    _run(["compute", "--input", str(path), *flags, *delta, *alpha, *beta]
+         + ["--strict"] * strict)
 
 
 @given(path=st.sampled_from([FIXTURES / "equal_h_cohort" / "A.json",
                              FIXTURES / "classified_authors" / "ACE.json"]),
-       flags=_RECORD_FLAGS, alpha=_flag("--alpha", _FLOAT), beta=_flag("--beta", _FLOAT),
-       gamma=_flag("--gamma", _FLOAT))
-def test_compute_json_on_valid_records(path, flags, alpha, beta, gamma):
-    _run(["compute", "--input", str(path), *flags, *alpha, *beta, *gamma, "--format=json"])
+       flags=_RECORD_FLAGS, delta=_DELTA, alpha=_flag("--alpha", _FLOAT),
+       beta=_flag("--beta", _FLOAT), gamma=_flag("--gamma", _FLOAT))
+def test_compute_json_on_valid_records(path, flags, delta, alpha, beta, gamma):
+    _run(["compute", "--input", str(path), *flags, *delta, *alpha, *beta, *gamma,
+          "--format=json"])
 
 
 @given(record=_RECORD, flags=_RECORD_FLAGS, truncate=st.booleans())
@@ -102,9 +106,9 @@ def test_status_on_arbitrary_bytes(tmp_path_factory, data, header, fmt):
 
 @given(records=st.lists(_RECORD, min_size=2, max_size=3), flags=_RECORD_FLAGS,
        command=st.sampled_from(["compare", "matrix", "successive", "group"]),
-       strict=st.booleans())
+       strict=st.booleans(), delta=_DELTA)
 def test_streaming_commands_on_schema_shaped_records(tmp_path_factory, records, flags,
-                                                     command, strict):
+                                                     command, strict, delta):
     directory = tmp_path_factory.mktemp("fuzz")
     paths = []
     for i, record in enumerate(records):
@@ -113,7 +117,7 @@ def test_streaming_commands_on_schema_shaped_records(tmp_path_factory, records, 
     if command in ("successive", "group"):  # they take --format alone
         flags = [flag for flag in flags if flag.startswith("--format=")]
     elif command == "compare":
-        flags = flags + ["--strict"] * strict
+        flags = flags + delta + ["--strict"] * strict
     _run([command, "--inputs", *map(str, paths), *flags])
 
 

@@ -117,6 +117,20 @@ def test_pure_h_score_override():
     assert pure_h(pairs, scores=[0.5, 0.5, 0.5, 0.5]) == pytest.approx(4 / math.sqrt(2))
 
 
+@pytest.mark.parametrize("index", [hi_index, pure_h, schreiber_hm])
+@pytest.mark.parametrize("pairs, bad", [([(5, 0), (5, 0)], 0), ([(5, 2), (5, -1)], -1)],
+                         ids=["zero", "negative"])
+def test_plain_pairs_need_an_author_count_of_at_least_1(index, pairs, bad):
+    with pytest.raises(ValueError, match=f"author count {bad} is below 1"):
+        index(pairs)
+
+
+def test_pure_h_rejects_fewer_scores_than_the_h_core():
+    pairs = [(9, 4), (8, 4), (7, 4), (6, 4)]
+    with pytest.raises(ValueError, match="1 scores for an h-core of 4"):
+        pure_h(pairs, scores=[0.5])
+
+
 def _scores(data, n):
     return data.draw(st.lists(st.floats(min_value=0.05, max_value=1.0),
                               min_size=n, max_size=n))

@@ -1,6 +1,7 @@
-"""The README's library-layout table, index-key list and CLI examples
-match what the package defines."""
+"""The README's library-layout table, index-key list, CLI examples and
+per-command options match what the package defines."""
 
+import argparse
 import importlib
 import re
 import shlex
@@ -46,3 +47,23 @@ def _cli_examples():
 @pytest.mark.parametrize("argv", list(_cli_examples()))
 def test_cli_examples_parse(argv):
     build_parser().parse_args(argv)
+
+
+def _documented_options():
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"Options by command;(.*?)\n\n(.*?)\n\n", text, re.DOTALL)
+    shared = set(re.findall(r"--[a-z-]+", section.group(1)))
+    for item in re.split(r"\n- ", "\n" + section.group(2))[1:]:
+        commands, options = item.split(":", 1)
+        for command in re.findall(r"`([a-z]+)`", commands):
+            yield command, shared | set(re.findall(r"--[a-z-]+", options))
+
+
+def test_each_commands_documented_options_match_the_parser():
+    parser = build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    parsed = {command: {flag for action in sub._actions for flag in action.option_strings
+                        if flag not in ("-h", "--help")}
+              for command, sub in subparsers.choices.items()}
+    assert dict(_documented_options()) == parsed

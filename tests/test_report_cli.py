@@ -13,7 +13,8 @@ from citemetrics import (CitationEvent, CitationRecord, FidelityError,
                          IndexConfig, Publication, authored_vector,
                          citation_vector, compute_report, record_to_dict,
                          write_record)
-from citemetrics import coauthor, core, records, report, temporal
+from citemetrics import cli, coauthor, core, records, report, temporal
+from citemetrics.aggregate import SimConfig
 from citemetrics.cli import main
 from citemetrics.report import REPORT_INDEX_KEYS, format_value, render_json
 from conftest import FIXTURES, GOLDEN
@@ -143,6 +144,22 @@ def test_unavailable_messages_per_key(record, config, message, exceptions):
     assert rep.values == {}
     assert rep.unavailable == {key: exceptions.get(key, message)
                                for key in REPORT_INDEX_KEYS}
+
+
+def test_trend_reports_a_citation_event_after_now_year(capsys, tmp_path):
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps({"entity": "E", "publications": [
+        {"id": "p", "year": 2003, "author_count": 1,
+         "citation_events": [{"year": 2004}, {"year": 2007}]}]}))
+    message = "citation event year 2007 is after now_year 2005"
+    argv = ["compute", "--input", str(path), "--now-year", "2005", "--format", "json"]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    values = json.loads(out)["values"]
+    assert values["h_trend"] == {"unavailable": message}
+    assert [key for key, value in values.items()
+            if isinstance(value, dict)] == ["h_trend"]
+    assert _run(capsys, argv + ["--strict"]) == (4, "", f"error: {message}\n")
 
 
 def test_event_level_messages_name_what_needs_the_events():
@@ -716,12 +733,59 @@ def test_record_errors_name_their_check(capsys, tmp_path, name, text, message):
     (["--field-chi", "2"], "--field-chi needs --h and --reference-chi"),
     (["--np", "100"], "theoretical estimate needs both --np and --chi"),
     ([], "nothing to compute; pass --field-chi, --np/--chi or --nc"),
-], ids=["field-chi", "np-without-chi", "nothing"])
+    (["--nc", "100", "--np", "100", "--literal-radical"],
+     "--literal-radical needs --np and --chi"),
+], ids=["field-chi", "np-without-chi", "nothing", "literal-radical"])
 def test_field_usage_errors_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(["field", *argv])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--articles-in-year", "20"], "--articles-in-year needs --h"),
+    (["--beta", "0.4"], "--beta needs --h"),
+], ids=["articles-in-year", "beta"])
+def test_journal_usage_errors_exit_2(capsys, argv, message):
+    # checked before the impact factor, which here would be a domain error
+    with pytest.raises(SystemExit) as exc:
+        main(["journal", "--articles", "0", "--citations", "5", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, flag, "1"] for command in ("sequence", "matrix")
+      for flag in ("--gamma", "--delta", "--alpha", "--beta")),
+    ["sequence", "--g-convention", "bounded"], ["matrix", "--g-convention", "bounded"],
+    ["journal", "--target-year", "2000"], ["journal", "--source-years", "1999"],
+])
+def test_removed_options_are_usage_errors(capsys, argv):
+    inputs = ["--articles", "1", "--citations", "1"] if argv[0] == "journal" else [
+        "--input" if argv[0] == "sequence" else "--inputs",
+        str(FIXTURES / "equal_h_cohort" / "A.json")]
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], *inputs, *argv[1:]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--input", "r.json"], ["compare", "--inputs", "a.json", "b.json"],
+    ["sequence", "--input", "r.json"], ["matrix", "--inputs", "a.json"],
+], ids=["compute", "compare", "sequence", "matrix"])
+def test_required_arguments_alone_give_the_default_index_config(argv):
+    parser = cli.build_parser()
+    assert cli._config_from(parser, parser.parse_args(argv)) == IndexConfig()
+
+
+def test_simulate_alone_gives_the_default_sim_config(capsys, monkeypatch):
+    configs = []
+    monkeypatch.setattr(cli, "burrell_simulate",
+                        lambda config: configs.append(config) or ([], []))
+    assert main(["simulate"]) == 0
+    assert configs == [SimConfig()]
 
 
 @pytest.mark.parametrize("alpha, shown", [("nan", "nan"), ("1e308", "inf")])

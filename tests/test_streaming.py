@@ -143,7 +143,7 @@ def test_bad_flag_beats_unreadable_file(capsys, tracker, command):
     if command in ("successive", "group"):
         argv += ["--format", "yaml"]  # their only flags are argparse's own
     else:
-        argv += ["--gamma", "0"]
+        argv += ["--now-year", str(2 ** 63)]  # out of IndexConfig's range
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2

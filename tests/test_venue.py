@@ -4,30 +4,30 @@ import pytest
 from hypothesis import given, strategies as st
 
 from citemetrics import (CohortPoint, DegenerateCohortError, DomainError,
-                         FieldProfile, JournalWindow, RecordValidationError,
+                         FieldProfile, RecordValidationError,
                          UndefinedInputError, field_factor,
                          field_normalized_h, impact_factor, impact_index_hm,
                          relative_h, research_status, sri,
                          theoretical_h_estimate, vanraan_diagnostic)
 
 
-def test_journal_window_defaults_to_two_preceding_years():
-    window = JournalWindow(target_year=2000, n_articles=50, n_citations=100)
-    assert window.source_years == (1998, 1999)
-
-
-def test_journal_window_rejects_late_source_years():
-    with pytest.raises(RecordValidationError):
-        JournalWindow(target_year=2000, n_articles=1, n_citations=0,
-                      source_years=(2001,))
-
-
 def test_impact_factor_cases():
-    assert impact_factor(JournalWindow(2000, 50, 100)) == 2.0
-    assert impact_factor(JournalWindow(2000, 50, 0)) == 0.0
-    assert impact_factor(JournalWindow(2000, 38, 19)) == 0.5
-    with pytest.raises(UndefinedInputError):
-        impact_factor(JournalWindow(2000, 0, 10))
+    assert impact_factor(100, 50) == 2.0
+    assert impact_factor(0, 50) == 0.0
+    assert impact_factor(19, 38) == 0.5
+    with pytest.raises(UndefinedInputError,
+                       match="impact factor needs at least one source article"):
+        impact_factor(10, 0)
+
+
+@pytest.mark.parametrize("n_citations, n_articles, message", [
+    (10, -1, "n_articles must be non-negative"),
+    (-1, 10, "n_citations must be non-negative"),
+    (-1, -1, "n_articles must be non-negative"),
+], ids=["articles", "citations", "both"])
+def test_impact_factor_rejects_negative_counts(n_citations, n_articles, message):
+    with pytest.raises(RecordValidationError, match=message):
+        impact_factor(n_citations, n_articles)
 
 
 def test_relative_h_cases():
