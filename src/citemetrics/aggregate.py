@@ -16,9 +16,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import a_index, h_core_sum, h_index
+from .core import _descending, _score_h, a_index, h_core_sum, h_index
 from .errors import DomainError, UndefinedInputError
-from .records import CitationEvent, CitationRecord, Publication, citation_vector, totals
+from .records import (CitationEvent, CitationRecord, Publication, _finite,
+                      citation_vector, totals)
 
 
 # What each group index reads from one member record; the index is the
@@ -45,7 +46,7 @@ def group_indices(group, keys=tuple(_MEMBER_VALUES)):
     if not rows:
         raise UndefinedInputError("group has no members")
     return {"members": len(rows),
-            **{key: h_index(column) for key, column in zip(keys, zip(*rows))}}
+            **{key: _score_h(column) for key, column in zip(keys, zip(*rows))}}
 
 
 def successive_h(group):
@@ -65,27 +66,28 @@ def group_hc(group):
 
 def lotkaian_h(t_sources, alpha):
     """Equilibrium h of a power-law source-item system: T**(1/alpha)."""
-    if t_sources < 1:
+    if not t_sources >= 1:  # also rejects NaN
         raise DomainError("source count must be at least 1")
-    if alpha <= 1:
+    if not alpha > 1:
         raise DomainError("power-law exponent must exceed 1")
-    return t_sources ** (1.0 / alpha)
+    return _finite(lambda: t_sources ** (1.0 / alpha), "Lotkaian h")
 
 
 def dynamic_h(t_sources, alpha, b, t):
     """Time-dependent h [(1 - b**t)**(alpha-1) * T]**(1/alpha); grows from 0
     at t=0 towards the equilibrium value as t -> infinity."""
-    if t_sources < 1:
+    if not t_sources >= 1:  # also rejects NaN
         raise DomainError("source count must be at least 1")
-    if alpha <= 1:
+    if not alpha > 1:
         raise DomainError("power-law exponent must exceed 1")
     if not 0 < b < 1:
         raise DomainError("ageing rate b must lie in (0, 1)")
-    if t < 0:
+    if not t >= 0:
         raise DomainError("time must be non-negative")
     if t == 0:
         return 0.0
-    return ((1.0 - b ** t) ** (alpha - 1.0) * t_sources) ** (1.0 / alpha)
+    return _finite(lambda: ((1.0 - b ** t) ** (alpha - 1.0) * t_sources) ** (1.0 / alpha),
+                   "dynamic h")
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ class TailFunction:
 
     @classmethod
     def from_sample(cls, counts):
-        data = sorted(int(c) for c in counts)
+        data = _descending(counts)[::-1]
         if not data:
             raise UndefinedInputError("empty sample has no tail")
         n = len(data)

@@ -23,10 +23,10 @@ from .errors import (DegenerateCohortError, DomainError, FidelityError,
                      RecordParseError, RecordValidationError, UndefinedInputError)
 from .records import G_CONVENTIONS, SELF_CITATION_MODES, IndexConfig, parse_record
 from .temporal import h_matrix, h_sequence
-from .venue import (DEFAULT_REFERENCE_FIELD, FieldProfile, field_factor,
-                    field_normalized_h, impact_factor, impact_index_hm,
-                    relative_h, research_status, sri, theoretical_h_estimate,
-                    vanraan_diagnostic)
+from .venue import (DEFAULT_REFERENCE_FIELD, CohortPoint, FieldProfile,
+                    field_factor, field_normalized_h, impact_factor,
+                    impact_index_hm, relative_h, research_status, sri,
+                    theoretical_h_estimate, vanraan_diagnostic)
 
 _INPUT_ERRORS = (RecordParseError, RecordValidationError, FidelityError,
                  OSError, UnicodeDecodeError, csv.Error)
@@ -204,24 +204,24 @@ def cmd_journal(parser, args):
 def cmd_field(parser, args):
     if args.literal_radical and (args.np is None or args.chi is None):
         parser.error("--literal-radical needs --np and --chi")
+    if args.field_chi is not None and (args.h is None or args.reference_chi is None):
+        parser.error("--field-chi needs --h and --reference-chi")
+    if (args.np is None) != (args.chi is None):
+        parser.error("theoretical estimate needs both --np and --chi")
+    if args.field_chi is None and args.np is None and args.nc is None:
+        parser.error("nothing to compute; pass --field-chi, --np/--chi or --nc")
     rows = []
     if args.field_chi is not None:
-        if args.h is None or args.reference_chi is None:
-            parser.error("--field-chi needs --h and --reference-chi")
         reference = FieldProfile(args.reference_name, args.reference_chi)
         field = FieldProfile(args.field_name, args.field_chi)
         rows.append(("field_factor", field_factor(reference, field)))
         rows.append(("h_normalized", field_normalized_h(args.h, field, reference)))
-    if args.np is not None or args.chi is not None:
-        if args.np is None or args.chi is None:
-            parser.error("theoretical estimate needs both --np and --chi")
+    if args.np is not None:
         rows.append(("h_theoretical",
                      theoretical_h_estimate(args.np, args.chi,
                                             literal_radical=args.literal_radical)))
     if args.nc is not None:
         rows.append(("h_vanraan", vanraan_diagnostic(args.nc)))
-    if not rows:
-        parser.error("nothing to compute; pass --field-chi, --np/--chi or --nc")
     _emit_metrics(rows, args)
     return 0
 
@@ -246,7 +246,8 @@ def cmd_status(parser, args):
                     f"{args.input}: line {lineno}: bad cohort row") from None
     header = ["entity", "n_p", "h", "residual"]
     # Residuals pair with points by position: entity names may repeat.
-    cohort = [[e, n, h, r] for (e, n, h), (_, r) in zip(points, research_status(points))]
+    residuals = research_status(CohortPoint(*point) for point in points)
+    cohort = [[*point, r] for point, (_, r) in zip(points, residuals)]
     table = [header] + [[e, str(n), str(h), f"{r:.4f}"] for e, n, h, r in cohort]
     _emit(report_mod.render(args.format,
                             {"cohort": [dict(zip(header, row)) for row in cohort]},

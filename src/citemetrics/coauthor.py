@@ -7,7 +7,7 @@ import statistics
 from fractions import Fraction
 
 from .core import _threshold_rank
-from .records import AuthoredVector, prepare
+from .records import AuthoredVector, _plain_count, prepare
 
 
 def authored_vector(record, config=None):
@@ -20,10 +20,7 @@ def authored_vector(record, config=None):
 def _entries(av):
     if isinstance(av, AuthoredVector):
         return av.entries
-    entries = [(int(c), int(a)) for c, a in av]
-    for _, a in entries:
-        if a < 1:
-            raise ValueError(f"author count {a} is below 1")
+    entries = [(_plain_count(c), _plain_count(a, 1, "author count")) for c, a in av]
     # stable sort: plain pair lists keep their given tie order
     return sorted(entries, key=lambda e: -e[0])
 
@@ -51,7 +48,7 @@ def pure_h(av, scores=None):
     """h divided by the square root of the mean equivalent-author number over
     the h-core.  By default each author holds an equal 1/author_count share,
     so the equivalent number is the author count itself; pass scores (one
-    credit share per entry, aligned with the rank order: an AuthoredVector's
+    credit share in (0, 1] per entry, aligned with the rank order: an AuthoredVector's
     entries as they are, plain pairs by citations descending with ties kept
     in their given order) to plug in a positional weighting scheme."""
     equivalent = _h_core_authors(av)
@@ -62,6 +59,9 @@ def pure_h(av, scores=None):
         scores = list(scores)[:h]
         if len(scores) < h:
             raise ValueError(f"{len(scores)} scores for an h-core of {h}")
+        for share in scores:
+            if not 0 < share <= 1:  # also rejects NaN
+                raise ValueError(f"credit share {share!r} is not in (0, 1]")
         equivalent = [1.0 / s for s in scores]
     return h / math.sqrt(sum(equivalent) / h)
 

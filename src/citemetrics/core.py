@@ -1,8 +1,8 @@
 """Indices computed from a descending citation vector alone.
 
 Every function accepts either a CitationVector, whose counts are taken as
-they are (they are descending by construction), or any iterable of
-non-negative citation counts in any order, which is sorted first.  All
+they are (they are descending by construction), or any iterable of plain
+counts in any order, checked by records._plain_count and sorted first.  All
 indices return 0 on empty vectors, and forms that divide by h are defined
 as 0 when h is 0.
 
@@ -19,13 +19,13 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .records import G_CONVENTIONS, CitationVector
+from .records import G_CONVENTIONS, CitationVector, _finite, _plain_count
 
 
 def _descending(v):
     if isinstance(v, CitationVector):
         return v.counts
-    return sorted((int(c) for c in v), reverse=True)
+    return sorted(map(_plain_count, v), reverse=True)
 
 
 def _threshold_rank(counts, threshold=lambda rank: rank):
@@ -41,37 +41,33 @@ def _threshold_rank(counts, threshold=lambda rank: rank):
     return best
 
 
+def _score_h(scores):
+    """h over computed real scores, unchecked and unrounded (an infinite
+    score counts): the temporal score lists and the group member values."""
+    return _threshold_rank(sorted(scores, reverse=True))
+
+
 def h_index(v):
-    """Largest rank h whose paper has at least h citations.  Real-valued
-    scores are compared unrounded, so an overflowed (infinite) score counts."""
-    return _threshold_rank(
-        v.counts if isinstance(v, CitationVector) else sorted(v, reverse=True))
+    """Largest rank h whose paper has at least h citations."""
+    return _threshold_rank(_descending(v))
 
 
 def g_index(v, convention="bounded"):
     """Largest g whose top-g papers jointly hold at least g**2 citations.
 
     Under "bounded" g cannot exceed the number of papers; under "unbounded"
-    ranks beyond the record contribute zero citations, so the scan runs to
-    floor(sqrt(total citations)).
+    ranks beyond the record contribute zero citations, so once every paper
+    passes, the top-g sum stays at the total and g is floor(sqrt(total)).
     """
     if convention not in G_CONVENTIONS:
         raise ValueError(f"unknown g convention {convention!r}")
     counts = _descending(v)
-    total = sum(counts)
-    limit = math.isqrt(total)
-    if convention == "bounded":
-        limit = min(limit, len(counts))
-    best = 0
     running = 0
-    for g in range(1, limit + 1):
-        if g <= len(counts):
-            running += counts[g - 1]
-        if running >= g * g:
-            best = g
-        else:
-            break
-    return best
+    for g, count in enumerate(counts, start=1):
+        running += count
+        if running < g * g:
+            return g - 1
+    return len(counts) if convention == "bounded" else math.isqrt(running)
 
 
 def _h_core(v):
@@ -193,12 +189,13 @@ def rmcv_index(v):
 def h_alpha_predict(h, n_c, alpha=-0.1):
     """Predictive index sqrt(h**2 + alpha*N_c); a negative or non-finite
     radicand is an error, reported rather than clamped."""
-    radicand = h * h + alpha * n_c
-    if radicand < 0:
-        raise DomainError(
-            f"predictive radicand h^2 + alpha*N_c is negative ({radicand:g})")
-    if not math.isfinite(radicand):
-        raise DomainError(
-            f"predictive radicand h^2 + alpha*N_c is not finite ({radicand:g})")
-    return math.sqrt(radicand)
+    what = "predictive radicand h^2 + alpha*N_c"
+
+    def radicand():
+        value = h * h + alpha * n_c
+        if value < 0:
+            raise DomainError(f"{what} is negative ({value:g})")
+        return value
+
+    return math.sqrt(_finite(radicand, what))
 

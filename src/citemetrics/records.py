@@ -19,6 +19,7 @@ import csv
 import gc
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,6 +38,36 @@ INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 _COUNTS_CSV_HEADER = ["id", "year", "author_count", "citation_count"]
 _EVENTS_CSV_HEADER = ["pub_id", "pub_year", "author_count", "cite_year", "citing_authors"]
+
+
+def _plain_count(value, low=0, name="citation count"):
+    """value as an int, when it is a plain count: an int or another
+    operator.index type but not a bool, from low to INT64_MAX.  Anything
+    else is a ValueError naming the value.  This is the one rule for the
+    counts and pairs a caller hands an index function directly."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} {value!r} is a bool, not an integer")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+    if value < low:
+        raise ValueError(f"{name} {value} is below {low}")
+    if value > INT64_MAX:
+        raise ValueError(f"{name} {value} does not fit in a signed 64-bit integer")
+    return value
+
+
+def _finite(compute, what):
+    """compute() as a finite float.  Arithmetic that overflows, divides by a
+    power that underflowed to zero, or ends in inf/NaN is a DomainError."""
+    try:
+        value = float(compute())
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"{what} is out of floating-point range") from None
+    if not math.isfinite(value):
+        raise DomainError(f"{what} is not finite ({value:g})")
+    return value
 
 
 def normalize_author(name):

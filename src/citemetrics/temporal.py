@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import sqrt
 
-from .core import h_index
+from .core import _score_h, h_index
 from .errors import DomainError, UndefinedInputError
 from .records import prepare, require_events
 
@@ -63,7 +63,7 @@ def require_publications(record):
 def _contemporary(view):
     pubs = view.part("filtered").publications
     config, now = view.config, view.part("now_year")
-    return h_index([
+    return _score_h([
         config.gamma * (now - pub.year + 1) ** (-config.delta)
         * pub.citations() for pub in pubs])
 
@@ -77,7 +77,7 @@ def _trend_score(pub, now, config):
 def _trend(view):
     pubs = view.part("filtered").publications
     config, now = view.config, view.part("now_year")
-    return h_index([_trend_score(pub, now, config) for pub in pubs])
+    return _score_h([_trend_score(pub, now, config) for pub in pubs])
 
 
 def _normalized(view):

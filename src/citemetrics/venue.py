@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import (DegenerateCohortError, DomainError, RecordValidationError,
                      UndefinedInputError)
-from .records import INT64_MAX
+from .records import INT64_MAX, _finite, _plain_count
 
 DEFAULT_REFERENCE_FIELD = "physics"
 
@@ -41,18 +41,6 @@ class CohortPoint:
                 f"{self.entity!r}: h ({self.h}) exceeds publication count ({self.n_p})")
 
 
-def _finite(compute, what):
-    """compute() as a finite float.  Float arithmetic that overflows, divides
-    by a power that underflowed to zero, or ends in inf/NaN is a DomainError."""
-    try:
-        value = compute()
-    except (OverflowError, ZeroDivisionError):
-        raise DomainError(f"{what} is out of floating-point range") from None
-    if not math.isfinite(value):
-        raise DomainError(f"{what} is not finite ({value:g})")
-    return value
-
-
 def impact_factor(n_citations, n_articles):
     """Citations received in the target year by a journal's articles from the
     source years, divided by the number of those articles."""
@@ -73,19 +61,21 @@ def relative_h(h, n_articles_in_year):
 
 
 def sri(h, n):
-    """Strike rate index 10*log(h)/log(N); base-independent."""
+    """Strike rate index 10*log(h)/log(N), for 1 <= h <= N; base-independent."""
     if h < 1 or n < 2:
         raise DomainError("strike rate index needs h >= 1 and N >= 2")
-    return 10.0 * math.log(h) / math.log(n)
+    if h > n:
+        raise DomainError(f"strike rate index: h ({h}) exceeds N ({n})")
+    return _finite(lambda: 10.0 * math.log(h) / math.log(n), "strike rate index")
 
 
 def impact_index_hm(h, n, beta=0.4):
     """Size-corrected journal/institution impact h / N**beta."""
     if n < 1:
         raise UndefinedInputError("impact index needs at least one article")
-    if not math.isfinite(beta):
+    if not -math.inf < beta < math.inf:  # also rejects NaN
         raise DomainError("impact index needs a finite beta")
-    return _finite(lambda: h / n ** beta, "impact index")
+    return _finite(lambda: h / n ** float(beta), "impact index")
 
 
 def field_factor(reference, field):
@@ -122,7 +112,8 @@ def _as_points(cohort):
             points.append(item)
         else:
             entity, n_p, h = item
-            points.append(CohortPoint(entity=entity, n_p=int(n_p), h=int(h)))
+            points.append(CohortPoint(entity=entity, n_p=_plain_count(n_p, name="n_p"),
+                                      h=_plain_count(h, name="h")))
     return points
 
 

@@ -131,6 +131,13 @@ def test_pure_h_rejects_fewer_scores_than_the_h_core():
         pure_h(pairs, scores=[0.5])
 
 
+@pytest.mark.parametrize("share", [0, -2, 1.5, math.nan, math.inf])
+def test_pure_h_rejects_credit_shares_outside_0_to_1(share):
+    pairs = [(9, 4), (8, 4), (7, 4), (6, 4)]
+    with pytest.raises(ValueError, match=r"credit share .* is not in \(0, 1\]"):
+        pure_h(pairs, scores=[0.5, 0.5, 0.5, share])
+
+
 def _scores(data, n):
     return data.draw(st.lists(st.floats(min_value=0.05, max_value=1.0),
                               min_size=n, max_size=n))

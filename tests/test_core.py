@@ -78,6 +78,12 @@ def test_g_bounded_caps_at_paper_count():
     assert g_index(BCE, "unbounded") == 14
 
 
+def test_g_unbounded_past_the_last_paper_is_the_root_of_the_total():
+    # no scan over the 2**31 zero-citation ranks beyond the one paper
+    assert g_index([2 ** 62], "unbounded") == 2 ** 31
+    assert g_index([2 ** 62], "bounded") == 1
+
+
 def test_a_basic(equal_h_records):
     assert a_index(citation_vector(equal_h_records["D"])) == 34
     assert a_index(ACE) == pytest.approx(181 / 7)

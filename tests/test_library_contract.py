@@ -1,0 +1,118 @@
+"""Library contract gate: whatever numbers a caller hands the numeric
+functions of core, coauthor and venue and the power-law formulas lotkaian_h
+and dynamic_h, a call returns a finite value or raises ValueError or a
+CitemetricsError subclass.  It never raises ZeroDivisionError,
+OverflowError or an internal TypeError, and never returns NaN or inf.
+This is the library's counterpart of tests/test_cli_fuzz.py."""
+
+import inspect
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from citemetrics import (CitemetricsError, FieldProfile, TailFunction, coauthor, core,
+                         venue)
+from citemetrics.aggregate import dynamic_h, lotkaian_h
+from citemetrics.records import G_CONVENTIONS
+
+# Ordinary small counts, next to every kind of value a plain count must not be.
+_NUMBER = st.one_of(
+    st.integers(min_value=0, max_value=60),
+    st.sampled_from([-3, -1, True, False, 0.5, 2.5, math.nan, math.inf, -math.inf,
+                     2 ** 63 - 1, 2 ** 63, 10 ** 400]))
+_COUNTS = st.lists(_NUMBER, max_size=8)
+_PAIRS = st.lists(st.tuples(_NUMBER, _NUMBER), max_size=8)
+_SHARES = st.none() | st.lists(_NUMBER | st.floats(min_value=0.01, max_value=1.0),
+                               max_size=8)
+
+
+def _fields(reference, field):
+    return FieldProfile("reference", reference), FieldProfile("field", field)
+
+
+_VECTOR_INDICES = ("h_index", "a_index", "r_index", "hw_index", "h2_index",
+                   "w_index", "maxprod", "f_index", "t_index", "rm_index",
+                   "h_core_cv", "rmcv_index", "h_core_sum")
+
+# Each gated function: the strategy for its arguments and how to call it.
+_CASES = {
+    **{f"core.{name}": (st.tuples(_COUNTS), getattr(core, name))
+       for name in _VECTOR_INDICES},
+    "core.g_index": (st.tuples(_COUNTS, st.sampled_from(G_CONVENTIONS)), core.g_index),
+    "core.h_alpha_predict": (st.tuples(_NUMBER, _NUMBER, _NUMBER), core.h_alpha_predict),
+    "coauthor.hi_index": (st.tuples(_PAIRS, st.sampled_from(["mean", "median"])),
+                          coauthor.hi_index),
+    "coauthor.pure_h": (st.tuples(_PAIRS, _SHARES), coauthor.pure_h),
+    "coauthor.schreiber_hm": (st.tuples(_PAIRS), coauthor.schreiber_hm),
+    "venue.impact_factor": (st.tuples(_NUMBER, _NUMBER), venue.impact_factor),
+    "venue.relative_h": (st.tuples(_NUMBER, _NUMBER), venue.relative_h),
+    "venue.sri": (st.tuples(_NUMBER, _NUMBER), venue.sri),
+    "venue.impact_index_hm": (st.tuples(_NUMBER, _NUMBER, _NUMBER), venue.impact_index_hm),
+    "venue.field_factor": (st.tuples(_NUMBER, _NUMBER),
+                           lambda reference, field: venue.field_factor(
+                               *_fields(reference, field))),
+    "venue.field_normalized_h": (st.tuples(_NUMBER, _NUMBER, _NUMBER),
+                                 lambda h, reference, field: venue.field_normalized_h(
+                                     h, *reversed(_fields(reference, field)))),
+    "venue.theoretical_h_estimate": (st.tuples(_NUMBER, _NUMBER, st.booleans()),
+                                     venue.theoretical_h_estimate),
+    "venue.research_status": (st.tuples(st.lists(st.tuples(st.just("e"), _NUMBER, _NUMBER),
+                                                 max_size=5)),
+                              lambda cohort: [r for _, r in venue.research_status(cohort)]),
+    "venue.vanraan_diagnostic": (st.tuples(_NUMBER), venue.vanraan_diagnostic),
+    "aggregate.lotkaian_h": (st.tuples(_NUMBER, _NUMBER), lotkaian_h),
+    "aggregate.dynamic_h": (st.tuples(_NUMBER, _NUMBER, _NUMBER, _NUMBER), dynamic_h),
+}
+
+
+def test_every_numeric_public_function_is_gated():
+    public = {f"{module.__name__.split('.')[-1]}.{name}"
+              for module in (core, coauthor, venue)
+              for name, obj in vars(module).items()
+              if inspect.isfunction(obj) and obj.__module__ == module.__name__
+              and not name.startswith("_")}
+    # authored_vector reads a record, not numbers
+    assert public - {"coauthor.authored_vector"} == {
+        name for name in _CASES if not name.startswith("aggregate.")}
+
+
+def _finite_result(value):
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and math.isfinite(value))
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+@given(data=st.data())
+def test_a_call_ends_in_a_finite_value_or_a_documented_error(name, data):
+    arguments, call = _CASES[name]
+    args = data.draw(arguments)
+    try:
+        result = call(*args)
+    except (ValueError, CitemetricsError):
+        return
+    results = result if isinstance(result, list) else [result]
+    assert all(map(_finite_result, results)), (name, args, result)
+
+
+@pytest.mark.parametrize("index", [core.h_index, core.g_index])
+def test_a_float_is_not_a_plain_count(index):
+    with pytest.raises(ValueError, match=r"citation count 2\.5 is not an integer"):
+        index([2.5])
+
+
+@pytest.mark.parametrize("value, problem", [
+    (-1, "is below 0"), (True, "is a bool"), (2.5, "is not an integer"),
+    (2 ** 63, "does not fit in a signed 64-bit integer")])
+@pytest.mark.parametrize("read", [
+    core.h_index, core.f_index, lambda v: coauthor.hi_index([(c, 1) for c in v]),
+    TailFunction.from_sample])
+def test_every_plain_input_reads_through_one_rule(read, value, problem):
+    with pytest.raises(ValueError, match=f"citation count .* {problem}"):
+        read([3, value])
+
+
+def test_a_plain_count_may_be_any_index_type():
+    assert core.h_index([np.int64(3)] * 3) == 3
+    assert coauthor.schreiber_hm([(np.int32(2), np.int64(1))] * 2) == 2.0

@@ -732,10 +732,14 @@ def test_record_errors_name_their_check(capsys, tmp_path, name, text, message):
 @pytest.mark.parametrize("argv, message", [
     (["--field-chi", "2"], "--field-chi needs --h and --reference-chi"),
     (["--np", "100"], "theoretical estimate needs both --np and --chi"),
+    # checked before the field factor, which here would be a domain error
+    (["--h", "1", "--field-chi", "0", "--reference-chi", "4", "--np", "5"],
+     "theoretical estimate needs both --np and --chi"),
     ([], "nothing to compute; pass --field-chi, --np/--chi or --nc"),
     (["--nc", "100", "--np", "100", "--literal-radical"],
      "--literal-radical needs --np and --chi"),
-], ids=["field-chi", "np-without-chi", "nothing", "literal-radical"])
+], ids=["field-chi", "np-without-chi", "np-without-chi-after-field", "nothing",
+        "literal-radical"])
 def test_field_usage_errors_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(["field", *argv])
@@ -826,8 +830,10 @@ def test_render_json_refuses_non_finite_values():
 @pytest.mark.parametrize("argv, message", [
     (["journal", "--articles", "10", "--citations", "5", "--h", "3", "--beta", "nan"],
      "impact index needs a finite beta"),
-    (["journal", "--articles", "10", "--citations", "5", "--h", "1000000000",
-      "--beta=-300"], "impact index is not finite (inf)"),
+    (["journal", "--articles", "10", "--citations", "5", "--h", "10",
+      "--beta=-308.5"], "impact index is not finite (inf)"),
+    (["journal", "--articles", "3", "--citations", "10", "--h", "50"],
+     "strike rate index: h (50) exceeds N (3)"),
     (["field", "--h", "3", "--field-chi", "inf", "--reference-chi", "2"],
      "field 'field': chi must be positive and finite"),
     (["field", "--h", "3", "--field-chi", "nan", "--reference-chi", "2"],
@@ -838,7 +844,7 @@ def test_render_json_refuses_non_finite_values():
      "normalized h is not finite (inf)"),
     (["field", "--np", "3", "--chi", "1e200"], "theoretical h estimate is not finite (inf)"),
     (["field", "--np", "3", "--chi", "nan"], "theoretical h estimate needs chi > 0"),
-], ids=["beta-nan", "impact-overflow", "chi-inf", "chi-nan", "factor-overflow",
+], ids=["beta-nan", "impact-overflow", "h-above-articles", "chi-inf", "chi-nan", "factor-overflow",
         "normalized-overflow", "estimate-overflow", "estimate-nan"])
 def test_non_finite_journal_and_field_values_are_domain_errors(capsys, argv, message):
     code, out, err = _run(capsys, argv + ["--format", "json"])
