@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .core import _descending, _score_h, a_index, h_core_sum, h_index
 from .errors import DomainError, UndefinedInputError
-from .records import (CitationEvent, CitationRecord, Publication, _finite,
+from .records import (INT64_MIN, CitationRecord, Publication, _finite, _plain_count,
                       citation_vector, totals)
 
 
@@ -115,17 +115,18 @@ class TailFunction:
     def discrete_pareto(cls, exponent):
         """G(k) = k**(-exponent) for k >= 1 (the Price special case is this
         with its own exponent); exact fractions when the exponent is integral."""
-        if exponent <= 0:
+        power = _finite(lambda: exponent, "tail exponent")
+        if power <= 0:
             raise DomainError("tail exponent must be positive")
-        if float(exponent).is_integer():
-            power = int(exponent)
+        if power.is_integer():
+            whole = int(exponent)
 
             def survival(k):
-                return Fraction(1) if k <= 1 else Fraction(1, k ** power)
+                return Fraction(1) if k <= 1 else Fraction(1, k ** whole)
         else:
 
             def survival(k):
-                return 1.0 if k <= 1 else float(k) ** (-exponent)
+                return 1.0 if k <= 1 else float(k) ** -power
 
         return cls(survival=survival)
 
@@ -133,13 +134,27 @@ class TailFunction:
 def glanzel_H(tail, n):
     """Extreme-value H: the largest r whose characteristic extreme value
     u_r = max{k : G(k) >= r/n} still reaches r.  G never rises, so u_r >= r
-    exactly when G(r) >= r/n, and G is read at most H + 1 times."""
+    exactly when G(r) >= r/n, which holds for every r up to H and fails
+    after it.  H is found by a galloping search (r = 1, 2, 4, ...) and then
+    a bisection, so G is read O(log H) times."""
+    n = _plain_count(n, INT64_MIN, "sample size")
     if n < 1:
         raise DomainError("sample size must be positive")
-    for r in range(1, n + 1):
-        if tail.survival(r) < Fraction(r, n):
-            return r - 1
-    return n
+
+    def reaches(r):
+        return tail.survival(r) >= Fraction(r, n)
+
+    low, high = 0, 1  # reaches(low) holds (or low is 0); high is the next rank to try
+    while high <= n and reaches(high):
+        low, high = high, min(2 * high, n + 1)
+    # H lies in [low, high): bisect, keeping reaches(low) and not reaches(high)
+    while high - low > 1:
+        middle = (low + high) // 2
+        if reaches(middle):
+            low = middle
+        else:
+            high = middle
+    return low
 
 
 # Largest expected ensemble, in career-years plus publications plus citation
@@ -230,12 +245,11 @@ def burrell_simulate(config):
                 serial += 1
                 rate = float(rng.gamma(config.gamma_shape, 1.0 / config.gamma_rate))
                 rate *= config.citation_rate_scale
-                events = []
+                years = []
                 for cite_year in range(year, length + 1):
-                    events.extend(CitationEvent(year=cite_year)
-                                  for _ in range(int(rng.poisson(rate))))
+                    years += [cite_year] * int(rng.poisson(rate))
                 pubs.append(Publication(id=f"p{serial:04d}", year=year,
-                                        citation_events=tuple(events)))
+                                        event_years=tuple(years)))
         record = CitationRecord(entity=f"career-{career_id:04d}",
                                 publications=tuple(pubs))
         vector = citation_vector(record)

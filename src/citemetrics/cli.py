@@ -190,6 +190,8 @@ def cmd_journal(parser, args):
         parser.error("--beta needs --h")
     rows = [("impact_factor", impact_factor(args.citations, args.articles))]
     if args.h is not None:
+        if args.h < 1:  # sri's DomainError names the bound; relative_h would raise ValueError
+            sri(args.h, args.articles)
         articles_in_year = args.articles_in_year
         if articles_in_year is None:
             articles_in_year = args.articles

@@ -21,6 +21,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from pathlib import Path
 
 from .errors import (DomainError, FidelityError, RecordParseError,
@@ -40,11 +41,12 @@ _COUNTS_CSV_HEADER = ["id", "year", "author_count", "citation_count"]
 _EVENTS_CSV_HEADER = ["pub_id", "pub_year", "author_count", "cite_year", "citing_authors"]
 
 
-def _plain_count(value, low=0, name="citation count"):
+def _plain_count(value, low=0, name="citation count", high=INT64_MAX):
     """value as an int, when it is a plain count: an int or another
-    operator.index type but not a bool, from low to INT64_MAX.  Anything
-    else is a ValueError naming the value.  This is the one rule for the
-    counts and pairs a caller hands an index function directly."""
+    operator.index type but not a bool, from low to high (INT64_MAX unless
+    the caller's own arithmetic bounds it).  Anything else is a ValueError
+    naming the value.  This is the one rule for the counts and pairs a
+    caller hands an index function directly."""
     if isinstance(value, bool):
         raise ValueError(f"{name} {value!r} is a bool, not an integer")
     try:
@@ -53,7 +55,7 @@ def _plain_count(value, low=0, name="citation count"):
         raise ValueError(f"{name} {value!r} is not an integer") from None
     if value < low:
         raise ValueError(f"{name} {value} is below {low}")
-    if value > INT64_MAX:
+    if value > high:
         raise ValueError(f"{name} {value} does not fit in a signed 64-bit integer")
     return value
 
@@ -83,18 +85,50 @@ class CitationEvent:
     citing_authors: tuple = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Publication:
+    """One publication.  Its citation events are stored as two parallel
+    columns, event_years (ints) and event_citers (one tuple of citing-author
+    names per event), both None for a counts-only publication.  The
+    citation_events property builds CitationEvents from the columns on each
+    access.  A citation_events argument sets the columns and wins over
+    event_years/event_citers, so dataclasses.replace(pub,
+    citation_events=...) replaces the events; event_citers defaults to no
+    citing authors for every event."""
+
     id: str
     year: int
     authors: tuple = ()
     author_count: int | None = None
     citation_count: int | None = None
-    citation_events: tuple | None = None
+    event_years: tuple | None = None
+    event_citers: tuple | None = None
+
+    def __init__(self, id, year, authors=(), author_count=None, citation_count=None,
+                 citation_events=None, event_years=None, event_citers=None):
+        if citation_events is not None:
+            event_years = tuple(e.year for e in citation_events)
+            event_citers = tuple(e.citing_authors for e in citation_events)
+        elif event_years is not None and event_citers is None:
+            event_citers = ((),) * len(event_years)
+        set_field = object.__setattr__  # the class is frozen
+        set_field(self, "id", id)
+        set_field(self, "year", year)
+        set_field(self, "authors", authors)
+        set_field(self, "author_count", author_count)
+        set_field(self, "citation_count", citation_count)
+        set_field(self, "event_years", event_years)
+        set_field(self, "event_citers", event_citers)
+
+    @property
+    def citation_events(self):
+        if self.event_years is None:
+            return None
+        return tuple(map(CitationEvent, self.event_years, self.event_citers))
 
     @property
     def has_events(self):
-        return self.citation_events is not None
+        return self.event_years is not None
 
     def effective_author_count(self):
         if self.author_count is not None:
@@ -105,8 +139,8 @@ class Publication:
 
     def citations(self):
         """Total recorded citations; the event list wins when present."""
-        if self.citation_events is not None:
-            return len(self.citation_events)
+        if self.event_years is not None:
+            return len(self.event_years)
         if self.citation_count is None:
             raise RecordValidationError(f"publication {self.id!r} carries no citation data")
         return self.citation_count
@@ -191,26 +225,32 @@ def validate_record(record):
             if value is not None and not INT64_MIN <= value <= INT64_MAX:
                 raise RecordValidationError(
                     f"publication {pub.id!r}: {name} does not fit in a signed 64-bit integer")
-        if pub.citation_count is None and pub.citation_events is None:
+        years = pub.event_years
+        if pub.citation_count is None and years is None:
             raise RecordValidationError(
                 f"publication {pub.id!r}: needs citation_count or citation_events")
         if pub.citation_count is not None and pub.citation_count < 0:
             raise RecordValidationError(
                 f"publication {pub.id!r}: citation_count must be non-negative")
-        if pub.citation_count is not None and pub.citation_events is not None:
-            if pub.citation_count != len(pub.citation_events):
+        if years is not None:
+            if len(pub.event_citers) != len(years):
+                raise RecordValidationError(
+                    f"publication {pub.id!r}: {len(years)} event years but "
+                    f"{len(pub.event_citers)} citing-author lists")
+            if pub.citation_count is not None and pub.citation_count != len(years):
                 raise RecordValidationError(
                     f"publication {pub.id!r}: citation_count {pub.citation_count} "
-                    f"does not match {len(pub.citation_events)} citation events")
-        for event in pub.citation_events or ():
-            if event.year > INT64_MAX:  # the year check below bounds it from below
-                raise RecordValidationError(
-                    f"publication {pub.id!r}: citation event year does not fit "
-                    "in a signed 64-bit integer")
-            if event.year < pub.year:
-                raise RecordValidationError(
-                    f"publication {pub.id!r}: citation event year {event.year} "
-                    f"precedes publication year {pub.year}")
+                    f"does not match {len(years)} citation events")
+            if years and (min(years) < pub.year or max(years) > INT64_MAX):
+                for year in years:  # in order, so the first failing event is named
+                    if year > INT64_MAX:  # the year check below bounds it from below
+                        raise RecordValidationError(
+                            f"publication {pub.id!r}: citation event year does not "
+                            "fit in a signed 64-bit integer")
+                    if year < pub.year:
+                        raise RecordValidationError(
+                            f"publication {pub.id!r}: citation event year {year} "
+                            f"precedes publication year {pub.year}")
         if pub.author_count is not None and pub.author_count < 1:
             raise RecordValidationError(
                 f"publication {pub.id!r}: author_count must be at least 1")
@@ -226,8 +266,8 @@ def resolve_now_year(record, config=None):
     config = config or IndexConfig()
     pub_years = [p.year for p in record.publications]
     if config.now_year is None:
-        return max(pub_years + [e.year for p in record.publications
-                                for e in p.citation_events or ()], default=None)
+        return max(pub_years + [max(p.event_years) for p in record.publications
+                                if p.event_years], default=None)
     if pub_years and config.now_year < max(pub_years):
         raise DomainError(
             f"now_year {config.now_year} precedes publication year {max(pub_years)}")
@@ -235,12 +275,12 @@ def resolve_now_year(record, config=None):
 
 
 def require_events(pub, purpose):
-    """The publication's citation events; FidelityError naming purpose when
-    the publication has counts only."""
-    if pub.citation_events is None:
+    """The publication's citation-event years; FidelityError naming purpose
+    when the publication has counts only."""
+    if pub.event_years is None:
         raise FidelityError(f"publication {pub.id!r} has no citation events; "
                             f"{purpose} needs event-level data")
-    return pub.citation_events
+    return pub.event_years
 
 
 def filter_self_citations(record, mode="include"):
@@ -259,23 +299,34 @@ def filter_self_citations(record, mode="include"):
     if mode == "exclude_own" and owner is None:
         raise FidelityError(
             f"record {record.entity!r}: exclude_own needs owner_name to be set")
+    pubs = record.publications
+    for pub in pubs:
+        require_events(pub, "self-citation filtering")
+    # Each distinct author and citing-author spelling is normalized once per
+    # record; an event is a self-citation when it names a blocked spelling.
+    authors = {a: normalize_author(a)
+               for a in set(chain.from_iterable(p.authors for p in pubs))}
+    blockable = {owner} if mode == "exclude_own" else {owner, *authors.values()}
+    citers = set(chain.from_iterable(chain.from_iterable(p.event_citers for p in pubs)))
+    spellings = {}  # blockable name -> its spellings among the citing authors
+    for name, normalized in zip(citers, map(normalize_author, citers)):
+        if normalized in blockable:
+            spellings.setdefault(normalized, set()).add(name)
+    own = spellings.get(owner, set())
+    author_spellings = {a: spellings.get(normalized, ()) for a, normalized in authors.items()}
     new_pubs = []
-    for pub in record.publications:
-        events = require_events(pub, "self-citation filtering")
-        if mode == "exclude_own":
-            blocked = {owner}
-        else:
-            blocked = {normalize_author(a) for a in pub.authors}
-            if owner is not None:
-                blocked.add(owner)
-        kept = tuple(
-            e for e in events
-            if not blocked & {normalize_author(a) for a in e.citing_authors})
-        count = len(kept) if pub.citation_count is not None else None
+    for pub in pubs:
+        blocked = own if mode == "exclude_own" else own.union(
+            *map(author_spellings.__getitem__, pub.authors))
+        if blocked.isdisjoint(chain.from_iterable(pub.event_citers)):
+            new_pubs.append(pub)
+            continue
+        keep = list(map(blocked.isdisjoint, pub.event_citers))
+        years = tuple(compress(pub.event_years, keep))
         new_pubs.append(Publication(
-            id=pub.id, year=pub.year, authors=pub.authors,
-            author_count=pub.author_count, citation_count=count,
-            citation_events=kept))
+            id=pub.id, year=pub.year, authors=pub.authors, author_count=pub.author_count,
+            citation_count=None if pub.citation_count is None else len(years),
+            event_years=years, event_citers=tuple(compress(pub.event_citers, keep))))
     return CitationRecord(entity=record.entity, kind=record.kind,
                           owner_name=record.owner_name,
                           publications=tuple(new_pubs))
@@ -364,6 +415,7 @@ def prepare(record, config=None):
 _RECORD_KEYS = {"entity", "kind", "owner_name", "publications"}
 _PUB_KEYS = {"id", "year", "authors", "author_count", "citation_count", "citation_events"}
 _EVENT_KEYS = {"year", "citing_authors"}
+_OPTIONAL_INT = (int, type(None))
 
 
 def _require(condition, message):
@@ -379,6 +431,28 @@ def _all_str(items):
     except TypeError:
         return False
     return True
+
+
+def _event_columns(raw_events, where):
+    """The event_years and event_citers columns of a JSON citation-event
+    list, read in one checked loop that names the first bad event."""
+    years, citers = [], []
+    for j, raw_event in enumerate(raw_events):
+        if not isinstance(raw_event, dict):
+            problem = "must be an object"
+        elif not _EVENT_KEYS.issuperset(raw_event):
+            problem = f"unknown field {sorted(set(raw_event) - _EVENT_KEYS)[0]!r}"
+        elif type(raw_event.get("year")) is not int:
+            problem = "field 'year' must be an integer"
+        else:
+            citing = raw_event.get("citing_authors", [])
+            if isinstance(citing, list) and _all_str(citing):
+                years.append(raw_event["year"])
+                citers.append(tuple(citing))
+                continue
+            problem = "field 'citing_authors' must be a list of strings"
+        raise RecordParseError(f"{where}.citation_events[{j}]: {problem}")
+    return tuple(years), tuple(citers)
 
 
 def record_from_dict(data, source="<memory>"):
@@ -398,47 +472,34 @@ def record_from_dict(data, source="<memory>"):
 
     pubs = []
     for i, raw in enumerate(raw_pubs):
-        where = f"{source}: publications[{i}]"
-        _require(isinstance(raw, dict), f"{where}: must be an object")
-        unknown = set(raw) - _PUB_KEYS
-        if unknown:
-            raise RecordParseError(f"{where}: unknown field {sorted(unknown)[0]!r}")
-        _require(isinstance(raw.get("id"), str), f"{where}: field 'id' must be a string")
+        # A check builds its message only when it fails.
+        if not isinstance(raw, dict):
+            problem = "must be an object"
+        elif not _PUB_KEYS.issuperset(raw):
+            problem = f"unknown field {sorted(set(raw) - _PUB_KEYS)[0]!r}"
+        elif not isinstance(raw.get("id"), str):
+            problem = "field 'id' must be a string"
         # type() is int, not isinstance(): JSON true/false are bools, an int subclass
-        _require(type(raw.get("year")) is int, f"{where}: field 'year' must be an integer")
-        authors = raw.get("authors", [])
-        _require(isinstance(authors, list) and all(isinstance(a, str) for a in authors),
-                 f"{where}: field 'authors' must be a list of strings")
-        for field in ("author_count", "citation_count"):
-            value = raw.get(field)
-            _require(value is None or type(value) is int,
-                     f"{where}: field {field!r} must be an integer")
-        events = None
-        if "citation_events" in raw:
-            raw_events = raw["citation_events"]
-            _require(isinstance(raw_events, list),
-                     f"{where}: field 'citation_events' must be a list")
-            events = []
-            for j, raw_event in enumerate(raw_events):
-                if not isinstance(raw_event, dict):
-                    problem = "must be an object"
-                elif not _EVENT_KEYS.issuperset(raw_event):
-                    problem = f"unknown field {sorted(set(raw_event) - _EVENT_KEYS)[0]!r}"
-                elif type(raw_event.get("year")) is not int:
-                    problem = "field 'year' must be an integer"
-                else:
-                    citing = raw_event.get("citing_authors", [])
-                    if isinstance(citing, list) and _all_str(citing):
-                        events.append(CitationEvent(raw_event["year"], tuple(citing)))
-                        continue
-                    problem = "field 'citing_authors' must be a list of strings"
-                raise RecordParseError(f"{where}.citation_events[{j}]: {problem}")
-            events = tuple(events)
-        pubs.append(Publication(
-            id=raw["id"], year=raw["year"], authors=tuple(authors),
-            author_count=raw.get("author_count"),
-            citation_count=raw.get("citation_count"),
-            citation_events=events))
+        elif type(raw.get("year")) is not int:
+            problem = "field 'year' must be an integer"
+        elif not (isinstance(authors := raw.get("authors", []), list) and _all_str(authors)):
+            problem = "field 'authors' must be a list of strings"
+        elif type(raw.get("author_count")) not in _OPTIONAL_INT:
+            problem = "field 'author_count' must be an integer"
+        elif type(raw.get("citation_count")) not in _OPTIONAL_INT:
+            problem = "field 'citation_count' must be an integer"
+        elif not isinstance(raw.get("citation_events", []), list):
+            problem = "field 'citation_events' must be a list"
+        else:
+            years = citers = None
+            if "citation_events" in raw:
+                years, citers = _event_columns(raw["citation_events"],
+                                               f"{source}: publications[{i}]")
+            pubs.append(Publication(
+                raw["id"], raw["year"], tuple(authors), raw.get("author_count"),
+                raw.get("citation_count"), event_years=years, event_citers=citers))
+            continue
+        raise RecordParseError(f"{source}: publications[{i}]: {problem}")
 
     record = CitationRecord(entity=data["entity"], kind=kind, owner_name=owner,
                             publications=tuple(pubs))
@@ -459,11 +520,10 @@ def record_to_dict(record):
             item["author_count"] = pub.author_count
         if pub.citation_count is not None:
             item["citation_count"] = pub.citation_count
-        if pub.citation_events is not None:
+        if pub.event_years is not None:
             item["citation_events"] = [
-                {"year": e.year, **({"citing_authors": list(e.citing_authors)}
-                                    if e.citing_authors else {})}
-                for e in pub.citation_events]
+                {"year": year, "citing_authors": list(citing)} if citing else {"year": year}
+                for year, citing in zip(pub.event_years, pub.event_citers)]
         pubs.append(item)
     out["publications"] = pubs
     return out
@@ -503,9 +563,10 @@ def _parse_counts_csv(path, rows):
 
 
 def _parse_events_csv(path, rows):
-    # pub_id -> (raw pub_year, raw author_count, pub_year, author_count, events),
-    # in order of first appearance.  A later row whose raw fields repeat the
-    # first row's needs no parsing; any other row is parsed and compared.
+    # pub_id -> (raw pub_year, raw author_count, pub_year, author_count,
+    # event years, event citers), in order of first appearance.  A later row
+    # whose raw fields repeat the first row's needs no parsing; any other row
+    # is parsed and compared.
     pubs = {}
     for lineno, row in rows:
         if len(row) != len(_EVENTS_CSV_HEADER):
@@ -519,7 +580,7 @@ def _parse_events_csv(path, rows):
             author_count = _parse_int(raw_author_count, where, "author_count",
                                       required=False)
             if pub is None:
-                pub = pubs[pub_id] = (raw_year, raw_author_count, year, author_count, [])
+                pub = pubs[pub_id] = (raw_year, raw_author_count, year, author_count, [], [])
             elif pub[2:4] != (year, author_count):
                 raise RecordParseError(
                     f"{where}: publication {pub_id!r} repeats with different "
@@ -531,11 +592,11 @@ def _parse_events_csv(path, rows):
                                    required=False)
             if cite_year is None:
                 continue  # zero-citation publication, listed once with empty cite_year
-        citing = tuple(filter(None, map(str.strip, raw_citing.split(";"))))
-        pub[4].append(CitationEvent(cite_year, citing))
+        pub[4].append(cite_year)
+        pub[5].append(tuple(filter(None, map(str.strip, raw_citing.split(";")))))
     return [Publication(id=pub_id, year=year, author_count=author_count,
-                        citation_events=tuple(events))
-            for pub_id, (_, _, year, author_count, events) in pubs.items()]
+                        event_years=tuple(years), event_citers=tuple(citers))
+            for pub_id, (_, _, year, author_count, years, citers) in pubs.items()]
 
 
 def _parse_csv(path):

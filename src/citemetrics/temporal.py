@@ -70,8 +70,8 @@ def _contemporary(view):
 
 def _trend_score(pub, now, config):
     return config.gamma * sum(
-        _event_age(now, e.year) ** (-config.delta)
-        for e in require_events(pub, "trend scoring"))
+        _event_age(now, year) ** (-config.delta)
+        for year in require_events(pub, "trend scoring"))
 
 
 def _trend(view):
@@ -133,8 +133,8 @@ def m_quotient(record, config=None):
 def _windowed_count(pub, cutoff):
     if cutoff is None:
         return pub.citations()
-    return sum(1 for e in require_events(pub, "window-limited counting")
-               if e.year <= cutoff)
+    return sum(1 for year in require_events(pub, "window-limited counting")
+               if year <= cutoff)
 
 
 def h_sequence(record, config=None, truncate_events_to_now=False):

@@ -12,6 +12,12 @@ from .records import INT64_MAX, _finite, _plain_count
 DEFAULT_REFERENCE_FIELD = "physics"
 
 
+def _count(value, name, low=-math.inf):
+    """value read by the plain-count rule with no upper bound: a count too
+    large for float arithmetic is the DomainError that _finite raises."""
+    return _plain_count(value, low, name, high=math.inf)
+
+
 @dataclass(frozen=True)
 class FieldProfile:
     """A research field with its mean citations per paper."""
@@ -44,6 +50,8 @@ class CohortPoint:
 def impact_factor(n_citations, n_articles):
     """Citations received in the target year by a journal's articles from the
     source years, divided by the number of those articles."""
+    n_citations = _count(n_citations, "n_citations")
+    n_articles = _count(n_articles, "n_articles")
     if n_articles < 0:
         raise RecordValidationError("n_articles must be non-negative")
     if n_citations < 0:
@@ -55,6 +63,7 @@ def impact_factor(n_citations, n_articles):
 
 def relative_h(h, n_articles_in_year):
     """h divided by the number of articles published in the current year."""
+    h, n_articles_in_year = _count(h, "h", low=0), _count(n_articles_in_year, "n_articles")
     if n_articles_in_year < 1:
         raise UndefinedInputError("relative h needs at least one article")
     return _finite(lambda: h / n_articles_in_year, "relative h")
@@ -62,6 +71,7 @@ def relative_h(h, n_articles_in_year):
 
 def sri(h, n):
     """Strike rate index 10*log(h)/log(N), for 1 <= h <= N; base-independent."""
+    h, n = _count(h, "h"), _count(n, "N")
     if h < 1 or n < 2:
         raise DomainError("strike rate index needs h >= 1 and N >= 2")
     if h > n:
@@ -71,6 +81,7 @@ def sri(h, n):
 
 def impact_index_hm(h, n, beta=0.4):
     """Size-corrected journal/institution impact h / N**beta."""
+    h, n = _count(h, "h", low=0), _count(n, "N")
     if n < 1:
         raise UndefinedInputError("impact index needs at least one article")
     if not -math.inf < beta < math.inf:  # also rejects NaN

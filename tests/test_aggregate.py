@@ -167,6 +167,33 @@ def test_glanzel_reads_the_tail_at_most_H_plus_one_times():
     assert len(calls) <= H + 1
 
 
+def test_glanzel_reads_the_tail_O_log_H_times():
+    tail = TailFunction.discrete_pareto(1)
+    calls = []
+
+    def survival(k):
+        calls.append(k)
+        return tail.survival(k)
+
+    # G(r) = 1/r >= r/n up to r = sqrt(n) exactly
+    assert glanzel_H(TailFunction(survival), 10 ** 12) == 10 ** 6
+    assert len(calls) <= 2 * (10 ** 6).bit_length() + 2
+
+
+@pytest.mark.parametrize("n, error", [(0, DomainError), (-3, DomainError),
+                                      (True, ValueError), (2.0, ValueError),
+                                      (2 ** 63, ValueError)])
+def test_glanzel_reads_n_as_a_plain_count(n, error):
+    with pytest.raises(error):
+        glanzel_H(TailFunction.discrete_pareto(2), n)
+
+
+@pytest.mark.parametrize("exponent", [0, -1, math.nan, math.inf, 10 ** 400])
+def test_discrete_pareto_needs_a_positive_finite_exponent(exponent):
+    with pytest.raises(DomainError, match="tail exponent"):
+        TailFunction.discrete_pareto(exponent)
+
+
 def test_glanzel_tail_that_never_decays_gives_n():
     assert glanzel_H(TailFunction(survival=lambda k: Fraction(1)), 12_345) == 12_345
 

@@ -1,6 +1,7 @@
 """Library contract gate: whatever numbers a caller hands the numeric
-functions of core, coauthor and venue and the power-law formulas lotkaian_h
-and dynamic_h, a call returns a finite value or raises ValueError or a
+functions of core, coauthor and venue, the power-law formulas lotkaian_h
+and dynamic_h and Glänzel's H over a sample or discrete Pareto tail, a
+call returns a finite value or raises ValueError or a
 CitemetricsError subclass.  It never raises ZeroDivisionError,
 OverflowError or an internal TypeError, and never returns NaN or inf.
 This is the library's counterpart of tests/test_cli_fuzz.py."""
@@ -14,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from citemetrics import (CitemetricsError, FieldProfile, TailFunction, coauthor, core,
                          venue)
-from citemetrics.aggregate import dynamic_h, lotkaian_h
+from citemetrics.aggregate import dynamic_h, glanzel_H, lotkaian_h
 from citemetrics.records import G_CONVENTIONS
 
 # Ordinary small counts, next to every kind of value a plain count must not be.
@@ -26,6 +27,15 @@ _COUNTS = st.lists(_NUMBER, max_size=8)
 _PAIRS = st.lists(st.tuples(_NUMBER, _NUMBER), max_size=8)
 _SHARES = st.none() | st.lists(_NUMBER | st.floats(min_value=0.01, max_value=1.0),
                                max_size=8)
+
+
+# A tail to build: from a sample of counts, or discrete Pareto with an
+# exponent (ordinary, or one no float or tail can take).
+_TAILS = st.one_of(
+    st.tuples(st.just(TailFunction.from_sample), _COUNTS),
+    st.tuples(st.just(TailFunction.discrete_pareto),
+              st.integers(1, 6) | st.floats(0.1, 6.0)
+              | st.sampled_from([-1, 0, True, math.nan, math.inf, 10 ** 400])))
 
 
 def _fields(reference, field):
@@ -64,6 +74,8 @@ _CASES = {
     "venue.vanraan_diagnostic": (st.tuples(_NUMBER), venue.vanraan_diagnostic),
     "aggregate.lotkaian_h": (st.tuples(_NUMBER, _NUMBER), lotkaian_h),
     "aggregate.dynamic_h": (st.tuples(_NUMBER, _NUMBER, _NUMBER, _NUMBER), dynamic_h),
+    "aggregate.glanzel_H": (st.tuples(_TAILS, _NUMBER),
+                            lambda tail, n: glanzel_H(tail[0](tail[1]), n)),
 }
 
 

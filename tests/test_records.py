@@ -488,6 +488,33 @@ def test_record_model_is_slotted_and_frozen():
     assert CitationEvent(2001, ("A",)) != CitationEvent(2001)
 
 
+@given(st.none() | st.sampled_from(AUTHOR_NAMES), event_publications())
+def test_columnar_publications_behave_like_event_lists(owner, pubs):
+    record = event_record(owner, pubs)
+    for pub, (_, _, events) in zip(record.publications, pubs):
+        assert pub.citation_events == tuple(CitationEvent(*event) for event in events)
+        assert pub.event_years == tuple(year for year, _ in events)
+        assert pub.event_citers == tuple(citing for _, citing in events)
+    parsed = record_from_dict(record_to_dict(record))
+    assert parsed == record and hash(parsed) == hash(record)
+    for pub in parsed.publications:
+        assert pickle.loads(pickle.dumps(pub)) == pub
+        moved = dataclasses.replace(pub, year=pub.year - 1)
+        assert (moved.year, moved.event_years, moved.event_citers) == (
+            pub.year - 1, pub.event_years, pub.event_citers)
+        first = pub.citation_events[:1]
+        assert dataclasses.replace(pub, citation_events=first).citation_events == first
+    for mode in ("exclude_own", "exclude_coauthor")[owner is None:]:
+        filtered = filter_self_citations(parsed, mode)
+        kept = [oracle_kept_events(authors, events, owner, mode)
+                for _, authors, events in pubs]
+        assert [list(zip(p.event_years, p.event_citers))
+                for p in filtered.publications] == kept
+        # a publication that loses no event is the parsed one itself
+        assert [p is q for p, q in zip(filtered.publications, parsed.publications)] == [
+            len(k) == len(events) for k, (_, _, events) in zip(kept, pubs)]
+
+
 def test_parse_record_pauses_gc_and_restores_it(tmp_path, monkeypatch, equal_h_paths):
     states = []
 

@@ -11,11 +11,12 @@ import pytest
 
 from citemetrics import (CitationEvent, CitationRecord, FidelityError,
                          IndexConfig, Publication, authored_vector,
-                         citation_vector, compute_report, record_to_dict,
-                         write_record)
+                         citation_vector, compute_report, filter_self_citations,
+                         parse_record, record_to_dict, write_record)
 from citemetrics import cli, coauthor, core, records, report, temporal
 from citemetrics.aggregate import SimConfig
 from citemetrics.cli import main
+from citemetrics.records import SELF_CITATION_MODES
 from citemetrics.report import REPORT_INDEX_KEYS, format_value, render_json
 from conftest import FIXTURES, GOLDEN
 
@@ -101,6 +102,39 @@ def test_report_ranks_each_record_once(sort_calls):
     rep = compute_report(_OWNED)
     assert not rep.unavailable
     assert len(sort_calls) == 3
+
+
+@pytest.fixture
+def event_calls(monkeypatch):
+    """One entry per CitationEvent that records builds during the test."""
+    calls = []
+    real = records.CitationEvent
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(records, "CitationEvent", counting)
+    return calls
+
+
+def test_reading_filtering_and_reporting_build_no_citation_event(tmp_path, event_calls):
+    write_record(_OWNED, tmp_path / "owned.json")
+    (tmp_path / "counts.csv").write_text(
+        "id,year,author_count,citation_count\np1,2000,2,5\np2,2001,,3\n")
+    (tmp_path / "events.csv").write_text(
+        "pub_id,pub_year,author_count,cite_year,citing_authors\n"
+        "p1,2000,2,2001,A;B\np1,2000,2,2003,\np2,2001,1,,\n")
+    event_calls.clear()
+    owned = parse_record(tmp_path / "owned.json")
+    for name in ("counts.csv", "events.csv"):
+        parse_record(tmp_path / name)
+    for mode in ("exclude_own", "exclude_coauthor"):
+        filter_self_citations(owned, mode)
+    for mode in SELF_CITATION_MODES:
+        rep = compute_report(owned, IndexConfig(self_citation_mode=mode))
+        assert not rep.unavailable
+    assert event_calls == []
 
 
 def test_index_functions_read_prepared_vectors_as_they_are(sort_calls):

@@ -9,6 +9,7 @@ from citemetrics import (CohortPoint, DegenerateCohortError, DomainError,
                          field_normalized_h, impact_factor, impact_index_hm,
                          relative_h, research_status, sri,
                          theoretical_h_estimate, vanraan_diagnostic)
+from citemetrics.cli import main
 
 
 def test_impact_factor_cases():
@@ -150,3 +151,21 @@ def test_vanraan_cases():
     assert vanraan_diagnostic(10000) == pytest.approx(0.42 * 10000 ** 0.45)
     with pytest.raises(DomainError):
         vanraan_diagnostic(-1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: relative_h(-5, 2), "h -5 is below 0"),
+    (lambda: impact_index_hm(-3, 5), "h -3 is below 0"),
+    (lambda: impact_factor(True, 1), "n_citations True is a bool"),
+    (lambda: sri(2.5, 10), "h 2.5 is not an integer"),
+], ids=["relative-h", "impact-index", "impact-factor-bool", "sri-float"])
+def test_journal_counts_read_through_the_plain_count_rule(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("h", ["-3", "0"])
+def test_journal_with_h_below_1_is_the_strike_rate_error(capsys, h):
+    code = main(["journal", "--articles", "10", "--citations", "5", "--h", h])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (4, "", "error: strike rate index needs h >= 1 and N >= 2\n")
