@@ -433,9 +433,10 @@ def _all_str(items):
     return True
 
 
-def _event_columns(raw_events, where):
-    """The event_years and event_citers columns of a JSON citation-event
-    list, read in one checked loop that names the first bad event."""
+def _event_columns(raw_events, source, i):
+    """The event_years and event_citers columns of the citation-event list
+    of publication i, read in one checked loop that names the first bad
+    event."""
     years, citers = [], []
     for j, raw_event in enumerate(raw_events):
         if not isinstance(raw_event, dict):
@@ -451,7 +452,7 @@ def _event_columns(raw_events, where):
                 citers.append(tuple(citing))
                 continue
             problem = "field 'citing_authors' must be a list of strings"
-        raise RecordParseError(f"{where}.citation_events[{j}]: {problem}")
+        raise RecordParseError(f"{source}: publications[{i}].citation_events[{j}]: {problem}")
     return tuple(years), tuple(citers)
 
 
@@ -493,8 +494,7 @@ def record_from_dict(data, source="<memory>"):
         else:
             years = citers = None
             if "citation_events" in raw:
-                years, citers = _event_columns(raw["citation_events"],
-                                               f"{source}: publications[{i}]")
+                years, citers = _event_columns(raw["citation_events"], source, i)
             pubs.append(Publication(
                 raw["id"], raw["year"], tuple(authors), raw.get("author_count"),
                 raw.get("citation_count"), event_years=years, event_citers=citers))
