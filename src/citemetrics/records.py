@@ -621,13 +621,19 @@ def parse_record(path):
     CitationRecord."""
     # Cyclic garbage collection is paused while the record is built: parsing
     # makes many small acyclic, immutable objects, which collection passes
-    # over the growing heap would only rescan.
+    # over the growing heap would only rescan.  For the same reason they then
+    # go straight to the oldest generation (freeze and unfreeze move every
+    # tracked object there without a scan), unless the caller keeps objects
+    # frozen, which unfreezing would release.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         return _read_record(Path(path))
     finally:
         if gc_was_enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 

@@ -515,6 +515,24 @@ def test_columnar_publications_behave_like_event_lists(owner, pubs):
             len(k) == len(events) for k, (_, _, events) in zip(kept, pubs)]
 
 
+def test_parsed_objects_skip_the_young_generations(tmp_path):
+    write_record(_rec(*(Publication(id=f"p{i}", year=2000, citation_events=(
+        CitationEvent(2001, ("A",)),)) for i in range(50))), tmp_path / "r.json")
+    record = parse_record(tmp_path / "r.json")
+    young = {id(obj) for generation in (0, 1) for obj in gc.get_objects(generation)}
+    assert not any(id(pub) in young for pub in record.publications)
+
+
+def test_parse_record_keeps_a_callers_frozen_objects_frozen(equal_h_paths):
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        parse_record(equal_h_paths["A"])
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+
+
 def test_parse_record_pauses_gc_and_restores_it(tmp_path, monkeypatch, equal_h_paths):
     states = []
 
