@@ -21,7 +21,8 @@ from . import report as report_mod
 from .aggregate import CareerSummary, SimConfig, burrell_simulate, group_indices
 from .errors import (DegenerateCohortError, DomainError, FidelityError,
                      RecordParseError, RecordValidationError, UndefinedInputError)
-from .records import G_CONVENTIONS, SELF_CITATION_MODES, IndexConfig, parse_record
+from .records import (G_CONVENTIONS, SELF_CITATION_MODES, IndexConfig, _csv_int,
+                      parse_record)
 from .temporal import h_matrix, h_sequence
 from .venue import (DEFAULT_REFERENCE_FIELD, CohortPoint, FieldProfile,
                     field_factor, field_normalized_h, impact_factor,
@@ -242,7 +243,7 @@ def cmd_status(parser, args):
                     f"{args.input}: line {lineno}: wrong number of columns")
             entity, n_p, h = row
             try:
-                points.append((entity, int(n_p), int(h)))
+                points.append((entity, _csv_int(n_p), _csv_int(h)))
             except ValueError:
                 raise RecordParseError(
                     f"{args.input}: line {lineno}: bad cohort row") from None

@@ -456,54 +456,134 @@ def _event_columns(raw_events, source, i):
     return tuple(years), tuple(citers)
 
 
-def record_from_dict(data, source="<memory>"):
-    """Build and validate a CitationRecord from the JSON-shaped dict."""
+def _publication(raw, source, i):
+    """The Publication of raw, element i of a record's publications list,
+    after every check record_from_dict makes on it."""
+    # A check builds its message only when it fails.
+    if not isinstance(raw, dict):
+        problem = "must be an object"
+    elif not _PUB_KEYS.issuperset(raw):
+        problem = f"unknown field {sorted(set(raw) - _PUB_KEYS)[0]!r}"
+    elif not isinstance(raw.get("id"), str):
+        problem = "field 'id' must be a string"
+    # type() is int, not isinstance(): JSON true/false are bools, an int subclass
+    elif type(raw.get("year")) is not int:
+        problem = "field 'year' must be an integer"
+    elif not (isinstance(authors := raw.get("authors", []), list) and _all_str(authors)):
+        problem = "field 'authors' must be a list of strings"
+    elif type(raw.get("author_count")) not in _OPTIONAL_INT:
+        problem = "field 'author_count' must be an integer"
+    elif type(raw.get("citation_count")) not in _OPTIONAL_INT:
+        problem = "field 'citation_count' must be an integer"
+    elif not isinstance(raw.get("citation_events", []), list):
+        problem = "field 'citation_events' must be a list"
+    else:
+        years = citers = None
+        if "citation_events" in raw:
+            years, citers = _event_columns(raw["citation_events"], source, i)
+        return Publication(raw["id"], raw["year"], tuple(authors), raw.get("author_count"),
+                           raw.get("citation_count"), event_years=years, event_citers=citers)
+    raise RecordParseError(f"{source}: publications[{i}]: {problem}")
+
+
+def _check_record_fields(data, source):
+    """The record-level checks of record_from_dict: every field of data but
+    the elements of its publications list."""
     _require(isinstance(data, dict), f"{source}: record must be a JSON object")
     unknown = set(data) - _RECORD_KEYS
     if unknown:
         raise RecordParseError(f"{source}: unknown record field {sorted(unknown)[0]!r}")
     _require(isinstance(data.get("entity"), str), f"{source}: field 'entity' must be a string")
-    kind = data.get("kind", "researcher")
-    _require(isinstance(kind, str), f"{source}: field 'kind' must be a string")
+    _require(isinstance(data.get("kind", "researcher"), str),
+             f"{source}: field 'kind' must be a string")
     owner = data.get("owner_name")
     _require(owner is None or isinstance(owner, str),
              f"{source}: field 'owner_name' must be a string")
-    raw_pubs = data.get("publications")
-    _require(isinstance(raw_pubs, list), f"{source}: field 'publications' must be a list")
+    _require(isinstance(data.get("publications"), list),
+             f"{source}: field 'publications' must be a list")
 
-    pubs = []
-    for i, raw in enumerate(raw_pubs):
-        # A check builds its message only when it fails.
-        if not isinstance(raw, dict):
-            problem = "must be an object"
-        elif not _PUB_KEYS.issuperset(raw):
-            problem = f"unknown field {sorted(set(raw) - _PUB_KEYS)[0]!r}"
-        elif not isinstance(raw.get("id"), str):
-            problem = "field 'id' must be a string"
-        # type() is int, not isinstance(): JSON true/false are bools, an int subclass
-        elif type(raw.get("year")) is not int:
-            problem = "field 'year' must be an integer"
-        elif not (isinstance(authors := raw.get("authors", []), list) and _all_str(authors)):
-            problem = "field 'authors' must be a list of strings"
-        elif type(raw.get("author_count")) not in _OPTIONAL_INT:
-            problem = "field 'author_count' must be an integer"
-        elif type(raw.get("citation_count")) not in _OPTIONAL_INT:
-            problem = "field 'citation_count' must be an integer"
-        elif not isinstance(raw.get("citation_events", []), list):
-            problem = "field 'citation_events' must be a list"
-        else:
-            years = citers = None
-            if "citation_events" in raw:
-                years, citers = _event_columns(raw["citation_events"], source, i)
-            pubs.append(Publication(
-                raw["id"], raw["year"], tuple(authors), raw.get("author_count"),
-                raw.get("citation_count"), event_years=years, event_citers=citers))
-            continue
-        raise RecordParseError(f"{source}: publications[{i}]: {problem}")
 
-    record = CitationRecord(entity=data["entity"], kind=kind, owner_name=owner,
-                            publications=tuple(pubs))
-    return validate_record(record)
+def _record(data, pubs):
+    """The validated CitationRecord of checked record fields and publications."""
+    return validate_record(CitationRecord(
+        entity=data["entity"], kind=data.get("kind", "researcher"),
+        owner_name=data.get("owner_name"), publications=tuple(pubs)))
+
+
+def record_from_dict(data, source="<memory>"):
+    """Build and validate a CitationRecord from the JSON-shaped dict."""
+    _check_record_fields(data, source)
+    return _record(data, [_publication(raw, source, i)
+                          for i, raw in enumerate(data["publications"])])
+
+
+_scan_json = json.JSONDecoder().scan_once  # the C scanner json.loads decodes with
+_json_space = json.decoder.WHITESPACE.match  # the whitespace json.loads skips
+
+
+def _skip_space(text, i):
+    """Index of the first non-whitespace character at or after i.  A single
+    space or newline, as in the ", " and ",\n" separators, is skipped
+    without a regex call.  Raises IndexError at the end of the text."""
+    if text[i] in " \t\n\r":
+        i += 1
+        if text[i] in " \t\n\r":
+            i = _json_space(text, i).end()
+    return i
+
+
+def _decode_record(text, source):
+    """The CitationRecord of a JSON record text, decoded one top-level value
+    and one publication at a time, so that each publication's JSON tree is
+    dropped before the next is decoded.  None when the text is anything but
+    an object whose keys each appear once, whose publications value is an
+    array and whose every check passes: the caller then reads it as
+    record_from_dict(json.loads(text)) does, with the same messages."""
+    data = {}
+    try:
+        i = _skip_space(text, 0)
+        if text[i] != "{":
+            return None
+        i = _skip_space(text, i + 1)
+        while True:
+            if text[i] != '"':
+                return None
+            key, i = _scan_json(text, i)
+            i = _skip_space(text, i)
+            if text[i] != ":" or key in data:
+                return None
+            i = _skip_space(text, i + 1)
+            if key != "publications":
+                data[key], i = _scan_json(text, i)
+            elif text[i] != "[":
+                return None
+            else:
+                pubs = data[key] = []
+                i = _skip_space(text, i + 1)
+                if text[i] != "]":
+                    while True:
+                        raw, i = _scan_json(text, i)
+                        pubs.append(_publication(raw, source, len(pubs)))
+                        if text[i] in " \t\n\r":  # none before a comma from json.dumps
+                            i = _skip_space(text, i)
+                        if text[i] != ",":
+                            break
+                        i = _skip_space(text, i + 1)
+                    if text[i] != "]":
+                        return None
+                i += 1
+            i = _skip_space(text, i)
+            if text[i] != ",":
+                break
+            i = _skip_space(text, i + 1)
+        if text[i] != "}" or _json_space(text, i + 1).end() != len(text):
+            return None
+        _check_record_fields(data, source)
+    # The scanner raises StopIteration on malformed JSON, ValueError on a
+    # bad string or an overlong integer, and RecursionError on deep nesting.
+    except (IndexError, StopIteration, ValueError, RecursionError, RecordParseError):
+        return None
+    return _record(data, data["publications"])
 
 
 def record_to_dict(record):
@@ -534,6 +614,17 @@ def write_record(record, path):
                           encoding="utf-8")
 
 
+def _csv_int(text):
+    """The int a CSV integer field spells: an optional sign and ASCII digits,
+    after surrounding whitespace is stripped.  Anything else, including the
+    other spellings int() reads ('1_000', fullwidth digits), is a ValueError."""
+    text = text.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_int(value, where, field, required=True):
     text = (value or "").strip()
     if not text:
@@ -541,7 +632,7 @@ def _parse_int(value, where, field, required=True):
             raise RecordParseError(f"{where}: missing value for {field!r}")
         return None
     try:
-        return int(text)
+        return _csv_int(text)
     except ValueError:
         raise RecordParseError(f"{where}: field {field!r} is not an integer: {text!r}") from None
 
@@ -568,6 +659,7 @@ def _parse_events_csv(path, rows):
     # whose raw fields repeat the first row's needs no parsing; any other row
     # is parsed and compared.
     pubs = {}
+    cite_years = {}  # raw cite_year -> its int, so each spelling is parsed once
     for lineno, row in rows:
         if len(row) != len(_EVENTS_CSV_HEADER):
             raise RecordParseError(f"{path}: line {lineno}: wrong number of columns")
@@ -585,13 +677,13 @@ def _parse_events_csv(path, rows):
                 raise RecordParseError(
                     f"{where}: publication {pub_id!r} repeats with different "
                     "pub_year/author_count")
-        try:
-            cite_year = int(raw_cite_year)  # int() strips the same whitespace
-        except ValueError:
+        cite_year = cite_years.get(raw_cite_year)
+        if cite_year is None:
             cite_year = _parse_int(raw_cite_year, f"{path}: line {lineno}", "cite_year",
                                    required=False)
             if cite_year is None:
                 continue  # zero-citation publication, listed once with empty cite_year
+            cite_years[raw_cite_year] = cite_year
         pub[4].append(cite_year)
         pub[5].append(tuple(filter(None, map(str.strip, raw_citing.split(";")))))
     return [Publication(id=pub_id, year=year, author_count=author_count,
@@ -644,7 +736,11 @@ def _read_record(path):
     try:
         if suffix == ".csv":
             return _parse_csv(path)
-        data = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        record = _decode_record(text, str(path))
+        if record is not None:
+            return record
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise RecordParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:

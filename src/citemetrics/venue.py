@@ -95,7 +95,11 @@ def field_factor(reference, field):
 
 
 def field_normalized_h(h, field, reference):
-    """Rescale h so that fields with different citation densities compare."""
+    """Rescale h so that fields with different citation densities compare.
+    h is a count, or a float such as a normalized h being mapped back."""
+    h = h if isinstance(h, float) else _count(h, "h")
+    if not h >= 0:  # also rejects NaN
+        raise DomainError("normalized h needs h >= 0")
     return _finite(lambda: field_factor(reference, field) * h, "normalized h")
 
 
@@ -105,6 +109,7 @@ def theoretical_h_estimate(n_p, chi, literal_radical=False):
     The default reading is the dimensionally consistent (N_p * chi**2 / 4)**(1/3);
     literal_radical selects ((N_p / 4) * chi**(2/3))**(1/3) instead.
     """
+    n_p = _count(n_p, "n_p")
     if n_p < 1:
         raise DomainError("theoretical h estimate needs at least one paper")
     if not chi > 0:  # also rejects NaN
@@ -149,6 +154,7 @@ def research_status(cohort):
 def vanraan_diagnostic(n_c):
     """Chemistry-calibrated prediction 0.42 * N_c**0.45, for sanity inspection
     next to the actual h; never a target to assert against."""
+    n_c = _count(n_c, "n_c")
     if n_c < 0:
         raise DomainError("citation total must be non-negative")
     return _finite(lambda: 0.42 * n_c ** 0.45, "van Raan estimate")

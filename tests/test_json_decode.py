@@ -1,0 +1,108 @@
+"""Differential test of the JSON record read: parse_record, which decodes a
+record one publication at a time, against the whole-tree read
+record_from_dict(json.loads(text)) that it falls back to.  Both must give
+an equal record, or the same exception type and message, on re-serialized
+records and on texts that break each assumption of the one-at-a-time
+decoder: repeated keys, stray separators, whitespace JSON does not allow,
+trailing data, a BOM, deep nesting, overlong integers, NaN and a bad
+publication after good ones."""
+
+import json
+from unittest import mock
+
+from hypothesis import given, strategies as st
+
+from citemetrics import CitemetricsError, parse_record, record_to_dict, records
+from datagen import AUTHOR_NAMES, event_publications, event_record
+
+# Values no record field accepts, as JSON text.
+_ODD_VALUES = ("[" * 5000 + "]" * 5000, "[" * 20 + "]" * 20, "9" * 5000, "NaN",
+               "-Infinity", "2001.0", "true", "null", '"2001"', '"planet"', "{}", "[]")
+# Publications that fail a check, from the JSON layer to validation.
+_BAD_PUBLICATIONS = (
+    '{"id": "bad", "year": %s, "citation_count": 1}',
+    '{"id": "bad", "year": 2000, "citation_events": [{"year": 2001}, {"year": %s}]}',
+    '{"id": "bad", "year": 2000, "authors": %s, "citation_count": 1}',
+    '{"id": "p0", "year": 2000, "citation_count": 1%.0s}',  # a repeated id
+    '{"id": "bad", "year": 2000, "citation_count": -1%.0s}',
+    "%s",
+)
+_SPACE = st.text(" \t\n\r", max_size=3)
+_MUTATIONS = ("none", "repeated-key", "odd-field", "unknown-field", "bad-publication",
+              "empty-publication", "odd-publications", "odd-space", "trailing-data", "bom",
+              "truncated")
+
+
+def _whole_tree_read(path):
+    """parse_record as it reads a file when the one-at-a-time decoder
+    declines it: record_from_dict(json.loads(text))."""
+    with mock.patch.object(records, "_decode_record", lambda text, source: None):
+        return parse_record(path)
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except CitemetricsError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _record_texts(draw):
+    """(mutation, JSON text) of a record re-serialized with random
+    whitespace, separators and key order, then perhaps broken."""
+    data = record_to_dict(event_record(draw(st.none() | st.sampled_from(AUTHOR_NAMES)),
+                                       draw(event_publications())))
+    data["kind"] = draw(st.sampled_from(records.KINDS))
+    indent = draw(st.sampled_from([None, 0, 1, 2, "\t"]))
+    item_sep, key_sep = draw(st.sampled_from([(", ", ": "), (",", ":"), (" ,\r\n", " :\t")]))
+
+    def dump(value):
+        return json.dumps(value, indent=indent, separators=(item_sep, key_sep))
+
+    pubs = [dump(pub) for pub in data.pop("publications")]
+    pairs = draw(st.permutations([(key, dump(value)) for key, value in data.items()]))
+    pairs.insert(draw(st.sampled_from([0, len(pairs), draw(st.integers(0, len(pairs)))])),
+                 ("publications", None))
+    mutation = draw(st.sampled_from(_MUTATIONS))
+    odd = draw(st.sampled_from(_ODD_VALUES))
+    if mutation == "repeated-key":
+        key = draw(st.sampled_from(["publications", "entity", "kind", "owner_name"]))
+        value = None if key == "publications" else draw(st.sampled_from(['"E"', "null", odd]))
+        pairs.insert(draw(st.integers(0, len(pairs))), (key, value))
+    elif mutation == "odd-field":
+        index = draw(st.integers(0, len(pairs) - 1))
+        pairs[index] = (pairs[index][0], odd)
+    elif mutation == "unknown-field":
+        pairs.insert(draw(st.integers(0, len(pairs))), ("venue", odd))
+    elif mutation == "bad-publication":
+        bad = draw(st.sampled_from(_BAD_PUBLICATIONS)) % odd
+        pubs.insert(draw(st.sampled_from([len(pubs), draw(st.integers(0, len(pubs)))])), bad)
+    elif mutation == "empty-publication":  # a stray separator
+        pubs.insert(draw(st.sampled_from([len(pubs), draw(st.integers(0, len(pubs)))])), "")
+
+    gap = draw(st.sampled_from(["\x0c", "\xa0"])) if mutation == "odd-space" else draw(_SPACE)
+    array = "[" + gap + (item_sep + gap).join(pubs) + draw(_SPACE) + "]"
+    if mutation == "odd-publications":
+        array = odd
+    text = draw(_SPACE) + "{" + gap + (item_sep + gap).join(
+        json.dumps(key) + key_sep + (array if value is None else value)
+        for key, value in pairs) + draw(_SPACE) + "}" + draw(_SPACE)
+    if mutation == "trailing-data":
+        text += draw(st.sampled_from(["x", "{}", "]", "0", ",", "\x00", "\x0c"]))
+    elif mutation == "bom":
+        text = "\ufeff" + text
+    elif mutation == "truncated":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return mutation, text
+
+
+@given(_record_texts())
+def test_json_read_matches_the_whole_tree_read(tmp_path_factory, case):
+    mutation, text = case
+    path = tmp_path_factory.mktemp("decode") / "record.json"
+    path.write_text(text, encoding="utf-8")
+    outcome = _outcome(parse_record, path)
+    assert outcome == _outcome(_whole_tree_read, path)
+    if mutation == "none":  # a well-formed record takes the one-at-a-time path
+        assert records._decode_record(text, str(path)) == outcome

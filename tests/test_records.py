@@ -4,6 +4,7 @@ import gc
 import json
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -555,3 +556,39 @@ def test_parse_record_pauses_gc_and_restores_it(tmp_path, monkeypatch, equal_h_p
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert states == [False, False]
+
+
+def _event_record_text(n_pubs, seed):
+    """A seeded event-level JSON record: co-authored publications with about
+    seven citation events each, most naming two citing authors."""
+    rnd = random.Random(seed)
+    pubs = []
+    for i in range(n_pubs):
+        year = rnd.randint(1990, 2010)
+        pubs.append({"id": f"p{i:05d}", "year": year,
+                     "authors": ["Owner"] + [f"Coauthor {rnd.randrange(300):03d}"
+                                             for _ in range(rnd.randint(0, 3))],
+                     "citation_events": [
+                         {"year": rnd.randint(year, 2012),
+                          "citing_authors": [f"Reader {rnd.randrange(5000):04d}"
+                                             for _ in range(rnd.randint(1, 3))]}
+                         for _ in range(rnd.randint(0, 14))]})
+    return json.dumps({"entity": "Owner", "owner_name": "Owner", "publications": pubs})
+
+
+def test_json_parse_peak_is_the_text_plus_the_record(tmp_path):
+    # A JSON record is decoded one publication at a time, so parsing holds
+    # the file text and the record it builds, never the whole JSON tree.
+    path = tmp_path / "large.json"
+    path.write_text(_event_record_text(1000, seed=7), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        record = parse_record(path)
+        held, peak = (size - start for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(record.publications) == 1000
+    text_size = path.stat().st_size
+    assert peak < text_size + 1.5 * held, (text_size, held, peak)

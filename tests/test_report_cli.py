@@ -521,6 +521,16 @@ def test_field_command(capsys):
     assert "h_theoretical" in out and "h_vanraan" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--h", "-3", "--field-chi", "2", "--reference-chi", "3"], "normalized h needs h >= 0"),
+    (["--np", "-3", "--chi", "2"], "theoretical h estimate needs at least one paper"),
+    (["--nc", "-5"], "citation total must be non-negative"),
+], ids=["h", "np", "nc"])
+def test_negative_field_counts_are_domain_errors(capsys, argv, message):
+    code, out, err = _run(capsys, ["field", *argv])
+    assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
 def test_status_command(capsys, tmp_path):
     path = tmp_path / "cohort.csv"
     path.write_text("entity,n_p,h\na,10,5\nb,20,10\nc,30,12\n")
@@ -941,6 +951,51 @@ def test_bool_numbers_and_blank_ids_are_input_errors(capsys, tmp_path, name, tex
     code, out, err = _run(capsys, ["compute", "--input", str(path)])
     assert code == 3 and out == ""
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+_EVENTS_CSV = "pub_id,pub_year,author_count,cite_year,citing_authors\n"
+_COUNTS_CSV = "id,year,author_count,citation_count\n"
+
+
+@pytest.mark.parametrize("command, name, text, message", [
+    ("compute", "events.csv", _EVENTS_CSV + "p,20_01,1,2005,\n",
+     "line 2: field 'pub_year' is not an integer: '20_01'"),
+    ("compute", "events.csv", _EVENTS_CSV + "p,2001,1,2_005,\n",
+     "line 2: field 'cite_year' is not an integer: '2_005'"),
+    ("compute", "events.csv", _EVENTS_CSV + "p,\uff12\uff10\uff10\uff11,1,2005,\n",
+     "line 2: field 'pub_year' is not an integer: '\uff12\uff10\uff10\uff11'"),
+    ("compute", "events.csv", _EVENTS_CSV + "p,2001,1,2005,\np,2001,1,\uff12\uff10\uff10\uff15,\n",
+     "line 3: field 'cite_year' is not an integer: '\uff12\uff10\uff10\uff15'"),
+    ("compute", "events.csv", _EVENTS_CSV + "p,2001,1,+-2005,\n",
+     "line 2: field 'cite_year' is not an integer: '+-2005'"),
+    ("compute", "counts.csv", _COUNTS_CSV + "p,2000,1_0,3\n",
+     "line 2: field 'author_count' is not an integer: '1_0'"),
+    ("compute", "counts.csv", _COUNTS_CSV + "p,2000,1,\u0663\n",
+     "line 2: field 'citation_count' is not an integer: '\u0663'"),
+    ("status", "cohort.csv", "entity,n_p,h\na,1_0,5\nb,20,10\nc,30,12\n",
+     "line 2: bad cohort row"),
+    ("status", "cohort.csv", "entity,n_p,h\na,10,5\nb,20,\uff11\uff10\nc,30,12\n",
+     "line 3: bad cohort row"),
+], ids=["underscore-pub-year", "underscore-cite-year", "fullwidth-pub-year",
+        "fullwidth-cite-year", "two-signs", "underscore-count", "arabic-indic-count",
+        "status-underscore", "status-fullwidth"])
+def test_csv_integers_are_ascii_digits(capsys, tmp_path, command, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, [command, "--input", str(path)])
+    assert (code, out, err) == (3, "", f"error: {path}: {message}\n")
+
+
+def test_csv_integers_keep_their_sign_and_surrounding_whitespace(tmp_path):
+    events = tmp_path / "events.csv"
+    events.write_text(_EVENTS_CSV + "p, +2001 ,\t1 , 2005\t,\nq,-5,,,\n")
+    assert parse_record(events).publications == (
+        Publication(id="p", year=2001, author_count=1, citation_events=(CitationEvent(2005),)),
+        Publication(id="q", year=-5, citation_events=()))
+    counts = tmp_path / "counts.csv"
+    counts.write_text(_COUNTS_CSV + "p, -0 , 2,+3\n")
+    assert parse_record(counts).publications == (
+        Publication(id="p", year=0, author_count=2, citation_count=3),)
 
 
 def test_console_entry_point_runs():

@@ -169,3 +169,25 @@ def test_journal_with_h_below_1_is_the_strike_rate_error(capsys, h):
     code = main(["journal", "--articles", "10", "--citations", "5", "--h", h])
     out, err = capsys.readouterr()
     assert (code, out, err) == (4, "", "error: strike rate index needs h >= 1 and N >= 2\n")
+
+
+_PHYSICS = FieldProfile("physics", 4.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: theoretical_h_estimate(True, 2), ValueError, "n_p True is a bool"),
+    (lambda: theoretical_h_estimate(2.5, 2), ValueError, "n_p 2.5 is not an integer"),
+    (lambda: vanraan_diagnostic(True), ValueError, "n_c True is a bool"),
+    (lambda: vanraan_diagnostic(3.5), ValueError, "n_c 3.5 is not an integer"),
+    (lambda: field_normalized_h(True, _PHYSICS, _PHYSICS), ValueError, "h True is a bool"),
+    (lambda: field_normalized_h(-3, _PHYSICS, _PHYSICS), DomainError,
+     "normalized h needs h >= 0"),
+    (lambda: field_normalized_h(-0.5, _PHYSICS, _PHYSICS), DomainError,
+     "normalized h needs h >= 0"),
+    (lambda: field_normalized_h(math.nan, _PHYSICS, _PHYSICS), DomainError,
+     "normalized h needs h >= 0"),
+], ids=["estimate-bool", "estimate-float", "vanraan-bool", "vanraan-float", "normalized-bool",
+        "normalized-negative", "normalized-negative-float", "normalized-nan"])
+def test_field_counts_read_through_the_plain_count_rule(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
