@@ -18,25 +18,30 @@ import sys
 from pathlib import Path
 
 from . import report as report_mod
-from .aggregate import CareerSummary, SimConfig, burrell_simulate, group_indices
 from .errors import (DegenerateCohortError, DomainError, FidelityError,
                      RecordParseError, RecordValidationError, UndefinedInputError)
 from .records import (G_CONVENTIONS, SELF_CITATION_MODES, IndexConfig, _csv_int,
-                      parse_record)
+                      _parse_int, parse_record)
 from .temporal import h_matrix, h_sequence
-from .venue import (DEFAULT_REFERENCE_FIELD, CohortPoint, FieldProfile,
-                    field_factor, field_normalized_h, impact_factor,
-                    impact_index_hm, relative_h, research_status, sri,
-                    theoretical_h_estimate, vanraan_diagnostic)
 
 _INPUT_ERRORS = (RecordParseError, RecordValidationError, FidelityError,
                  OSError, UnicodeDecodeError, csv.Error)
 _DOMAIN_ERRORS = (DomainError, UndefinedInputError, DegenerateCohortError)
 
 
+def _int_flag(text):
+    """An integer flag's value, read by the rule CSV integer fields follow:
+    an optional sign and ASCII digits, so '2_010' and fullwidth digits are
+    usage errors."""
+    return _csv_int(text)
+
+
+_int_flag.__name__ = "int"  # argparse names the type in "invalid int value"
+
+
 def _add_config_flags(parser, scoring):
     """The IndexConfig flags, each stored under its field name."""
-    parser.add_argument("--now-year", type=int, default=IndexConfig.now_year)
+    parser.add_argument("--now-year", type=_int_flag, default=IndexConfig.now_year)
     if scoring:
         parser.add_argument("--gamma", type=float, default=IndexConfig.gamma)
         parser.add_argument("--delta", type=float, default=IndexConfig.delta)
@@ -163,17 +168,20 @@ def cmd_matrix(parser, args):
 
 
 def cmd_successive(parser, args):
+    from .aggregate import group_indices
     _emit_metrics(list(group_indices(map(parse_record, args.inputs),
                                      ("successive_h",)).items()), args)
     return 0
 
 
 def cmd_group(parser, args):
+    from .aggregate import group_indices
     _emit_metrics(list(group_indices(map(parse_record, args.inputs)).items()), args)
     return 0
 
 
 def cmd_simulate(parser, args):
+    from .aggregate import CareerSummary, SimConfig, burrell_simulate
     _, summaries = burrell_simulate(SimConfig(**_settings(SimConfig, args)))
     careers = [dataclasses.asdict(s) for s in summaries]
     header = [f.name for f in dataclasses.fields(CareerSummary)]
@@ -185,6 +193,7 @@ def cmd_simulate(parser, args):
 
 
 def cmd_journal(parser, args):
+    from .venue import impact_factor, impact_index_hm, relative_h, sri
     if args.h is None and args.articles_in_year is not None:
         parser.error("--articles-in-year needs --h")
     if args.h is None and args.beta is not None:
@@ -205,6 +214,8 @@ def cmd_journal(parser, args):
 
 
 def cmd_field(parser, args):
+    from .venue import (DEFAULT_REFERENCE_FIELD, FieldProfile, field_factor,
+                        field_normalized_h, theoretical_h_estimate, vanraan_diagnostic)
     if args.literal_radical and (args.np is None or args.chi is None):
         parser.error("--literal-radical needs --np and --chi")
     if args.field_chi is not None and (args.h is None or args.reference_chi is None):
@@ -215,7 +226,8 @@ def cmd_field(parser, args):
         parser.error("nothing to compute; pass --field-chi, --np/--chi or --nc")
     rows = []
     if args.field_chi is not None:
-        reference = FieldProfile(args.reference_name, args.reference_chi)
+        reference = FieldProfile(getattr(args, "reference_name", DEFAULT_REFERENCE_FIELD),
+                                 args.reference_chi)
         field = FieldProfile(args.field_name, args.field_chi)
         rows.append(("field_factor", field_factor(reference, field)))
         rows.append(("h_normalized", field_normalized_h(args.h, field, reference)))
@@ -230,6 +242,7 @@ def cmd_field(parser, args):
 
 
 def cmd_status(parser, args):
+    from .venue import CohortPoint, research_status
     points = []
     with open(args.input, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -242,11 +255,8 @@ def cmd_status(parser, args):
                 raise RecordParseError(
                     f"{args.input}: line {lineno}: wrong number of columns")
             entity, n_p, h = row
-            try:
-                points.append((entity, _csv_int(n_p), _csv_int(h)))
-            except ValueError:
-                raise RecordParseError(
-                    f"{args.input}: line {lineno}: bad cohort row") from None
+            where = f"{args.input}: line {lineno}"
+            points.append((entity, _parse_int(n_p, where, "n_p"), _parse_int(h, where, "h")))
     header = ["entity", "n_p", "h", "residual"]
     # Residuals pair with points by position: entity names may repeat.
     residuals = research_status(CohortPoint(*point) for point in points)
@@ -308,38 +318,39 @@ def build_parser():
     _add_output_flags(p)
     p.set_defaults(func=cmd_group)
 
-    p = sub.add_parser("simulate", help="seeded stochastic career ensemble")
-    # Each flag is stored under its SimConfig field name.
-    p.add_argument("--seed", type=int, default=SimConfig.seed)
-    p.add_argument("--careers", type=int, default=SimConfig.careers)
-    p.add_argument("--years", dest="career_years", metavar="YEARS", type=int,
-                   default=SimConfig.career_years)
-    p.add_argument("--pub-rate", type=float, default=SimConfig.pub_rate)
-    p.add_argument("--gamma-shape", type=float, default=SimConfig.gamma_shape)
-    p.add_argument("--gamma-rate", type=float, default=SimConfig.gamma_rate)
+    # Each flag is stored under its SimConfig field name, and only when
+    # given: SimConfig holds the defaults.
+    p = sub.add_parser("simulate", help="seeded stochastic career ensemble",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=_int_flag)
+    p.add_argument("--careers", type=_int_flag)
+    p.add_argument("--years", dest="career_years", metavar="YEARS", type=_int_flag)
+    p.add_argument("--pub-rate", type=float)
+    p.add_argument("--gamma-shape", type=float)
+    p.add_argument("--gamma-rate", type=float)
     p.add_argument("--rate-scale", dest="citation_rate_scale", metavar="RATE_SCALE",
-                   type=float, default=SimConfig.citation_rate_scale)
+                   type=float)
     _add_output_flags(p, default_format="csv")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("journal", help="impact factor and journal h variants")
-    p.add_argument("--articles", type=int, required=True)
-    p.add_argument("--citations", type=int, required=True)
-    p.add_argument("--articles-in-year", type=int, default=None)
-    p.add_argument("--h", type=int, default=None)
+    p.add_argument("--articles", type=_int_flag, required=True)
+    p.add_argument("--citations", type=_int_flag, required=True)
+    p.add_argument("--articles-in-year", type=_int_flag, default=None)
+    p.add_argument("--h", type=_int_flag, default=None)
     p.add_argument("--beta", type=float, default=None)
     _add_output_flags(p)
     p.set_defaults(func=cmd_journal)
 
     p = sub.add_parser("field", help="field normalization and model estimates")
-    p.add_argument("--h", type=int, default=None)
+    p.add_argument("--h", type=_int_flag, default=None)
     p.add_argument("--field-chi", type=float, default=None)
     p.add_argument("--field-name", default="field")
     p.add_argument("--reference-chi", type=float, default=None)
-    p.add_argument("--reference-name", default=DEFAULT_REFERENCE_FIELD)
-    p.add_argument("--np", type=int, default=None)
+    p.add_argument("--reference-name", default=argparse.SUPPRESS)
+    p.add_argument("--np", type=_int_flag, default=None)
     p.add_argument("--chi", type=float, default=None)
-    p.add_argument("--nc", type=int, default=None)
+    p.add_argument("--nc", type=_int_flag, default=None)
     p.add_argument("--literal-radical", action="store_true")
     _add_output_flags(p)
     p.set_defaults(func=cmd_field)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import statistics
 from fractions import Fraction
 
 from .core import _threshold_rank
@@ -41,6 +40,7 @@ def hi_index(av, center="mean"):
         return 0.0
     if center == "mean":
         return h / (sum(core_authors) / h)
+    import statistics  # only this path needs it
     return h / statistics.median(core_authors)
 
 

@@ -433,10 +433,10 @@ def _all_str(items):
     return True
 
 
-def _event_columns(raw_events, source, i):
+def _event_columns(raw_events, source, i, share):
     """The event_years and event_citers columns of the citation-event list
     of publication i, read in one checked loop that names the first bad
-    event."""
+    event.  Each year is the record's shared object for its value."""
     years, citers = [], []
     for j, raw_event in enumerate(raw_events):
         if not isinstance(raw_event, dict):
@@ -453,12 +453,15 @@ def _event_columns(raw_events, source, i):
                 continue
             problem = "field 'citing_authors' must be a list of strings"
         raise RecordParseError(f"{source}: publications[{i}].citation_events[{j}]: {problem}")
-    return tuple(years), tuple(citers)
+    return tuple(map(share, years, years)), tuple(citers)
 
 
-def _publication(raw, source, i):
+def _publication(raw, source, i, share):
     """The Publication of raw, element i of a record's publications list,
-    after every check record_from_dict makes on it."""
+    after every check record_from_dict makes on it.  share is the record's
+    table of shared values (a dict's setdefault): the year and each author
+    name are stored as the first equal object the record met, so a record
+    holds one object per distinct year and name."""
     # A check builds its message only when it fails.
     if not isinstance(raw, dict):
         problem = "must be an object"
@@ -480,9 +483,11 @@ def _publication(raw, source, i):
     else:
         years = citers = None
         if "citation_events" in raw:
-            years, citers = _event_columns(raw["citation_events"], source, i)
-        return Publication(raw["id"], raw["year"], tuple(authors), raw.get("author_count"),
-                           raw.get("citation_count"), event_years=years, event_citers=citers)
+            years, citers = _event_columns(raw["citation_events"], source, i, share)
+        year = raw["year"]
+        return Publication(raw["id"], share(year, year), tuple(map(share, authors, authors)),
+                           raw.get("author_count"), raw.get("citation_count"),
+                           event_years=years, event_citers=citers)
     raise RecordParseError(f"{source}: publications[{i}]: {problem}")
 
 
@@ -513,7 +518,8 @@ def _record(data, pubs):
 def record_from_dict(data, source="<memory>"):
     """Build and validate a CitationRecord from the JSON-shaped dict."""
     _check_record_fields(data, source)
-    return _record(data, [_publication(raw, source, i)
+    share = {}.setdefault
+    return _record(data, [_publication(raw, source, i, share)
                           for i, raw in enumerate(data["publications"])])
 
 
@@ -540,6 +546,7 @@ def _decode_record(text, source):
     array and whose every check passes: the caller then reads it as
     record_from_dict(json.loads(text)) does, with the same messages."""
     data = {}
+    share = {}.setdefault
     try:
         i = _skip_space(text, 0)
         if text[i] != "{":
@@ -563,7 +570,7 @@ def _decode_record(text, source):
                 if text[i] != "]":
                     while True:
                         raw, i = _scan_json(text, i)
-                        pubs.append(_publication(raw, source, len(pubs)))
+                        pubs.append(_publication(raw, source, len(pubs), share))
                         if text[i] in " \t\n\r":  # none before a comma from json.dumps
                             i = _skip_space(text, i)
                         if text[i] != ",":

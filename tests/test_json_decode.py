@@ -106,3 +106,26 @@ def test_json_read_matches_the_whole_tree_read(tmp_path_factory, case):
     assert outcome == _outcome(_whole_tree_read, path)
     if mutation == "none":  # a well-formed record takes the one-at-a-time path
         assert records._decode_record(text, str(path)) == outcome
+
+
+def test_equal_years_and_author_names_are_stored_once_per_record(tmp_path):
+    # Every publication year, event year and author name of a record read
+    # from JSON is one shared object per distinct value, on both read paths
+    # and in record_from_dict.  Citing-author names are not shared.
+    data = {"entity": "E", "owner_name": "Ann", "publications": [
+        {"id": f"p{i}", "year": 2000 + i % 3, "authors": ["Ann", f"Bo {i % 2}"],
+         "citation_events": [{"year": 2003 + j % 4, "citing_authors": [f"Cy {j % 2}"]}
+                             for j in range(5)]}
+        for i in range(6)]}
+    text = json.dumps(data)
+    path = tmp_path / "record.json"
+    path.write_text(text, encoding="utf-8")
+    walked = records._decode_record(text, str(path))
+    assert walked is not None  # the one-at-a-time path reads this text
+    for record in (walked, _whole_tree_read(path), records.record_from_dict(data)):
+        assert record == walked
+        pubs = record.publications
+        years = [p.year for p in pubs] + [y for p in pubs for y in p.event_years]
+        names = [a for p in pubs for a in p.authors]
+        assert len({id(v) for v in years}) == len(set(years)) == 7
+        assert len({id(v) for v in names}) == len(set(names)) == 3

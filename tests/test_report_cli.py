@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gc
+import importlib
 import json
 import math
 import subprocess
@@ -13,7 +14,7 @@ from citemetrics import (CitationEvent, CitationRecord, FidelityError,
                          IndexConfig, Publication, authored_vector,
                          citation_vector, compute_report, filter_self_citations,
                          parse_record, record_to_dict, write_record)
-from citemetrics import cli, coauthor, core, records, report, temporal
+from citemetrics import aggregate, cli, coauthor, core, records, report, temporal
 from citemetrics.aggregate import SimConfig
 from citemetrics.cli import main
 from citemetrics.records import SELF_CITATION_MODES
@@ -830,7 +831,7 @@ def test_required_arguments_alone_give_the_default_index_config(argv):
 
 def test_simulate_alone_gives_the_default_sim_config(capsys, monkeypatch):
     configs = []
-    monkeypatch.setattr(cli, "burrell_simulate",
+    monkeypatch.setattr(aggregate, "burrell_simulate",
                         lambda config: configs.append(config) or ([], []))
     assert main(["simulate"]) == 0
     assert configs == [SimConfig()]
@@ -973,9 +974,9 @@ _COUNTS_CSV = "id,year,author_count,citation_count\n"
     ("compute", "counts.csv", _COUNTS_CSV + "p,2000,1,\u0663\n",
      "line 2: field 'citation_count' is not an integer: '\u0663'"),
     ("status", "cohort.csv", "entity,n_p,h\na,1_0,5\nb,20,10\nc,30,12\n",
-     "line 2: bad cohort row"),
+     "line 2: field 'n_p' is not an integer: '1_0'"),
     ("status", "cohort.csv", "entity,n_p,h\na,10,5\nb,20,\uff11\uff10\nc,30,12\n",
-     "line 3: bad cohort row"),
+     "line 3: field 'h' is not an integer: '\uff11\uff10'"),
 ], ids=["underscore-pub-year", "underscore-cite-year", "fullwidth-pub-year",
         "fullwidth-cite-year", "two-signs", "underscore-count", "arabic-indic-count",
         "status-underscore", "status-fullwidth"])
@@ -998,6 +999,25 @@ def test_csv_integers_keep_their_sign_and_surrounding_whitespace(tmp_path):
         Publication(id="p", year=0, author_count=2, citation_count=3),)
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["compute", "--input", "r.json", "--now-year", "2_010"], "--now-year", "2_010"),
+    (["journal", "--articles", "10", "--citations", "\uff15"], "--citations", "\uff15"),
+    (["field", "--np", "+-5", "--chi", "2"], "--np", "+-5"),
+    (["simulate", "--seed", "\u0663"], "--seed", "\u0663"),
+], ids=["underscore-now-year", "fullwidth-citations", "two-signs-np", "arabic-indic-seed"])
+def test_integer_flags_are_ascii_digits(capsys, argv, flag, value):
+    # The CLI's integer flags follow the rule of CSV integer fields.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
+
+
+def test_integer_flags_keep_their_sign_and_surrounding_whitespace(capsys):
+    assert _run(capsys, ["journal", "--articles", " +10 ", "--citations", "5"]) == (
+        0, "impact_factor  0.5\n", "")
+
+
 def test_console_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "citemetrics", "journal",
@@ -1013,6 +1033,52 @@ def test_cli_import_leaves_numpy_out():
         [sys.executable, "-c", "import sys, citemetrics.cli; print('numpy' in sys.modules)"],
         capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
+
+
+def test_compute_leaves_aggregate_and_venue_unimported(equal_h_paths):
+    # Each command imports only the modules it runs.
+    script = ("import sys; from citemetrics.cli import main; code = main(sys.argv[1:]); "
+              "print(code, [m for m in ('citemetrics.aggregate', 'citemetrics.venue') "
+              "if m in sys.modules], file=sys.stderr)")
+    result = subprocess.run(
+        [sys.executable, "-c", script, "compute", "--input", str(equal_h_paths["A"])],
+        capture_output=True, text=True, check=True)
+    assert result.stderr == "0 []\n"
+
+
+# Every name the package exported when its __init__ imported each module eagerly.
+_PACKAGE_EXPORTS = {
+    "aggregate": "CareerSummary SimConfig TailFunction burrell_simulate dynamic_h glanzel_H "
+                 "group_hc group_hp group_indices lotkaian_h successive_h",
+    "coauthor": "AuthoredVector authored_vector hi_index pure_h schreiber_hm",
+    "core": "a_index f_index g_index h2_index h_alpha_predict h_core_cv h_core_sum h_index "
+            "hw_index maxprod r_index rm_index rmcv_index t_index w_index",
+    "errors": "CitemetricsError DegenerateCohortError DomainError FidelityError "
+              "RecordParseError RecordValidationError UndefinedInputError",
+    "records": "CitationEvent CitationRecord CitationVector IndexConfig Publication "
+               "citation_vector filter_self_citations parse_record record_from_dict "
+               "record_to_dict resolve_now_year totals validate_record write_record",
+    "report": "IndexReport REPORT_INDEX_KEYS compute_report format_value render_json "
+              "report_to_jsonable",
+    "temporal": "HMatrix HSequence ar_index contemporary_h h_matrix h_sequence m_quotient "
+                "normalized_h_output trend_h",
+    "venue": "CohortPoint FieldProfile field_factor field_normalized_h impact_factor "
+             "impact_index_hm relative_h research_status sri theoretical_h_estimate "
+             "vanraan_diagnostic",
+}
+
+
+def test_package_exports_resolve_to_their_modules_objects():
+    import citemetrics
+    expected = {name: module for module, names in _PACKAGE_EXPORTS.items()
+                for name in names.split()}
+    assert set(citemetrics.__all__) == {*expected, "__version__"}
+    for name, module in expected.items():
+        assert getattr(citemetrics, name) is getattr(
+            importlib.import_module(f"citemetrics.{module}"), name), name
+    assert set(expected) <= set(dir(citemetrics))
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        citemetrics.nonexistent
 
 
 def test_output_flag_writes_file(tmp_path, equal_h_paths):
