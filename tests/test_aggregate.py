@@ -225,6 +225,17 @@ def test_oversized_simulation_is_rejected_before_drawing(knobs):
         SimConfig(**knobs)
 
 
+@pytest.mark.parametrize("knobs, message", [
+    ({"careers": 0}, "careers and career_years must be positive"),
+    ({"career_years": -1}, "careers and career_years must be positive"),
+    ({"gamma_rate": 0.0}, "pub_rate, gamma_shape and gamma_rate must be positive"),
+    ({"citation_rate_scale": -0.5}, "citation_rate_scale must be non-negative"),
+], ids=["careers", "career-years", "gamma-rate", "rate-scale"])
+def test_sim_config_rejects_each_knob_outside_its_domain(knobs, message):
+    with pytest.raises(DomainError, match=message):
+        SimConfig(**knobs)
+
+
 def test_simulate_cli_refuses_oversized_ensemble(capsys):
     started = time.perf_counter()
     code = main(["simulate", "--pub-rate", "1e9"])

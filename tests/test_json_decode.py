@@ -10,9 +10,11 @@ publication after good ones."""
 import json
 from unittest import mock
 
+import pytest
 from hypothesis import given, strategies as st
 
-from citemetrics import CitemetricsError, parse_record, record_to_dict, records
+from citemetrics import (CitemetricsError, RecordParseError, parse_record, record_to_dict,
+                         records)
 from datagen import AUTHOR_NAMES, event_publications, event_record
 
 # Values no record field accepts, as JSON text.
@@ -106,6 +108,22 @@ def test_json_read_matches_the_whole_tree_read(tmp_path_factory, case):
     assert outcome == _outcome(_whole_tree_read, path)
     if mutation == "none":  # a well-formed record takes the one-at-a-time path
         assert records._decode_record(text, str(path)) == outcome
+
+
+_PUB_TEXT = '{"id": "%s", "year": 2000, "citation_count": 1}'
+
+
+@pytest.mark.parametrize("publications, message", [
+    ("{}", "{path}: field 'publications' must be a list"),
+    ("5", "{path}: field 'publications' must be a list"),
+    ("[" + _PUB_TEXT % "a" + " " + _PUB_TEXT % "b" + "]",
+     "{path}: line 1: Expecting ',' delimiter"),
+], ids=["object", "number", "missing-comma"])
+def test_the_json_read_gives_the_whole_tree_message(tmp_path, publications, message):
+    path = tmp_path / "record.json"
+    path.write_text('{"entity": "E", "publications": %s}' % publications, encoding="utf-8")
+    assert _outcome(parse_record, path) == _outcome(_whole_tree_read, path) == (
+        RecordParseError, message.format(path=path))
 
 
 def test_equal_years_and_author_names_are_stored_once_per_record(tmp_path):

@@ -15,7 +15,7 @@ from citemetrics import (CitationEvent, CitationRecord, FidelityError,
                          filter_self_citations, parse_record, record_from_dict,
                          record_to_dict, resolve_now_year, totals,
                          validate_record, write_record)
-from citemetrics import records
+from citemetrics import core, records
 from datagen import AUTHOR_NAMES, event_publications, event_record
 from vector_oracles import oracle_kept_events
 
@@ -415,6 +415,25 @@ def test_first_failing_event_is_named(years, message):
     with pytest.raises(RecordValidationError) as exc:
         validate_record(_rec(pub))
     assert str(exc.value) == f"publication 'p': {message}"
+
+
+def test_event_columns_of_different_lengths_are_rejected():
+    pub = Publication(id="p", year=2000, event_years=(2001, 2002), event_citers=((),))
+    with pytest.raises(RecordValidationError) as exc:
+        validate_record(_rec(pub))
+    assert str(exc.value) == "publication 'p': 2 event years but 1 citing-author lists"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: IndexConfig(self_citation_mode="exclude_all"),
+     "unknown self_citation_mode 'exclude_all'"),
+    (lambda: filter_self_citations(_rec(), "exclude_all"),
+     "unknown self_citation_mode 'exclude_all'"),
+    (lambda: core.g_index([3, 1], "other"), "unknown g convention 'other'"),
+], ids=["config-mode", "filter-mode", "g-convention"])
+def test_an_unknown_mode_or_convention_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 _CSV_TEXT = st.text(alphabet='Ab,"x. ', min_size=1, max_size=5).map(str.strip).filter(bool)

@@ -765,8 +765,11 @@ _PUB = {"id": "p", "year": 2000, "citation_count": 1}
      "publication 'p': author_count smaller than the author list"),
     ("field.json", _json_with({**_PUB, "venue": "J"}),
      "{path}: publications[0]: unknown field 'venue'"),
+    ("id.json", _json_with({**_PUB, "id": 7}),
+     "{path}: publications[0]: field 'id' must be a string"),
     ("record.txt", "{}", "{path}: cannot infer format from suffix '.txt'"),
-], ids=["kind", "negative-count", "no-authors", "few-authors", "unknown-field", "suffix"])
+], ids=["kind", "negative-count", "no-authors", "few-authors", "unknown-field", "id-not-string",
+        "suffix"])
 def test_record_errors_name_their_check(capsys, tmp_path, name, text, message):
     path = tmp_path / name
     path.write_text(text)

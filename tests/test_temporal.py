@@ -244,6 +244,11 @@ def test_h_matrix_shapes():
     assert all(v is not None for v in m.rows[1])
 
 
+def test_h_matrix_of_an_empty_cohort_is_undefined():
+    with pytest.raises(UndefinedInputError, match="cohort is empty"):
+        h_matrix([])
+
+
 def test_now_year_must_cover_publications():
     record = _rec(_counts_pub("a", 2020, 5))
     with pytest.raises(DomainError):

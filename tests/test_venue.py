@@ -143,6 +143,8 @@ def test_research_status_residual_orthogonality(points):
 def test_cohort_point_validation():
     with pytest.raises(RecordValidationError):
         CohortPoint("bad", 3, 5)
+    with pytest.raises(RecordValidationError, match="'neg': counts must be non-negative"):
+        CohortPoint("neg", -1, 0)
 
 
 def test_vanraan_cases():
