@@ -244,10 +244,11 @@ def burrell_simulate(config):
             for _ in range(int(rng.poisson(config.pub_rate))):
                 serial += 1
                 rate = float(rng.gamma(config.gamma_shape, 1.0 / config.gamma_rate))
-                rate *= config.citation_rate_scale
-                years = []
-                for cite_year in range(year, length + 1):
-                    years += [cite_year] * int(rng.poisson(rate))
+                # One draw per citation year, from the publication year on;
+                # numpy draws a sized Poisson as that many scalar draws in order.
+                counts = rng.poisson(rate * config.citation_rate_scale,
+                                     size=length - year + 1)
+                years = np.repeat(np.arange(year, length + 1), counts).tolist()
                 pubs.append(Publication(id=f"p{serial:04d}", year=year,
                                         event_years=tuple(years)))
         record = CitationRecord(entity=f"career-{career_id:04d}",

@@ -21,11 +21,10 @@ from . import report as report_mod
 from .errors import (DegenerateCohortError, DomainError, FidelityError,
                      RecordParseError, RecordValidationError, UndefinedInputError)
 from .records import (G_CONVENTIONS, SELF_CITATION_MODES, IndexConfig, _csv_int,
-                      _parse_int, parse_record)
+                      _parse_int, _read_input, parse_record)
 from .temporal import h_matrix, h_sequence
 
-_INPUT_ERRORS = (RecordParseError, RecordValidationError, FidelityError,
-                 OSError, UnicodeDecodeError, csv.Error)
+_INPUT_ERRORS = (RecordParseError, RecordValidationError, FidelityError, OSError)
 _DOMAIN_ERRORS = (DomainError, UndefinedInputError, DegenerateCohortError)
 
 
@@ -214,8 +213,8 @@ def cmd_journal(parser, args):
 
 
 def cmd_field(parser, args):
-    from .venue import (DEFAULT_REFERENCE_FIELD, FieldProfile, field_factor,
-                        field_normalized_h, theoretical_h_estimate, vanraan_diagnostic)
+    from .venue import (FieldProfile, field_factor, field_normalized_h,
+                        theoretical_h_estimate, vanraan_diagnostic)
     if args.literal_radical and (args.np is None or args.chi is None):
         parser.error("--literal-radical needs --np and --chi")
     if args.field_chi is not None and (args.h is None or args.reference_chi is None):
@@ -226,8 +225,7 @@ def cmd_field(parser, args):
         parser.error("nothing to compute; pass --field-chi, --np/--chi or --nc")
     rows = []
     if args.field_chi is not None:
-        reference = FieldProfile(getattr(args, "reference_name", DEFAULT_REFERENCE_FIELD),
-                                 args.reference_chi)
+        reference = FieldProfile(args.reference_name, args.reference_chi)
         field = FieldProfile(args.field_name, args.field_chi)
         rows.append(("field_factor", field_factor(reference, field)))
         rows.append(("h_normalized", field_normalized_h(args.h, field, reference)))
@@ -241,22 +239,26 @@ def cmd_field(parser, args):
     return 0
 
 
-def cmd_status(parser, args):
-    from .venue import CohortPoint, research_status
+def _read_cohort(path):
+    """The (entity, n_p, h) rows of a cohort CSV file."""
     points = []
-    with open(args.input, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != ["entity", "n_p", "h"]:
-            raise RecordParseError(
-                f"{args.input}: line 1: cohort header must be entity,n_p,h")
+            raise RecordParseError(f"{path}: line 1: cohort header must be entity,n_p,h")
         # Blank rows are skipped and not counted, as for record CSVs.
         for lineno, row in enumerate(filter(None, reader), start=2):
             if len(row) != 3:
-                raise RecordParseError(
-                    f"{args.input}: line {lineno}: wrong number of columns")
+                raise RecordParseError(f"{path}: line {lineno}: wrong number of columns")
             entity, n_p, h = row
-            where = f"{args.input}: line {lineno}"
+            where = f"{path}: line {lineno}"
             points.append((entity, _parse_int(n_p, where, "n_p"), _parse_int(h, where, "h")))
+    return points
+
+
+def cmd_status(parser, args):
+    from .venue import CohortPoint, research_status
+    points = _read_input(args.input, _read_cohort)
     header = ["entity", "n_p", "h", "residual"]
     # Residuals pair with points by position: entity names may repeat.
     residuals = research_status(CohortPoint(*point) for point in points)
@@ -347,7 +349,7 @@ def build_parser():
     p.add_argument("--field-chi", type=float, default=None)
     p.add_argument("--field-name", default="field")
     p.add_argument("--reference-chi", type=float, default=None)
-    p.add_argument("--reference-name", default=argparse.SUPPRESS)
+    p.add_argument("--reference-name", default="physics")
     p.add_argument("--np", type=_int_flag, default=None)
     p.add_argument("--chi", type=float, default=None)
     p.add_argument("--nc", type=_int_flag, default=None)

@@ -14,7 +14,6 @@ fail loudly with FidelityError instead of silently approximating.
 
 from __future__ import annotations
 
-import copy
 import csv
 import gc
 import json
@@ -352,9 +351,10 @@ def totals(record):
 @dataclass(frozen=True, slots=True)
 class PreparedRecord:
     """A record with the parts the indices read, each built once, when an
-    index first asks for it.  A part that fails for a documented reason
-    keeps its error and raises it again for every index that needs the part,
-    so each index reports what it would report on its own."""
+    index first asks for it; parts holds the parts built so far.  A part
+    whose builder raises is not kept: the next index that needs it builds
+    it again and gets the same error, so each index reports what it would
+    report on its own."""
 
     record: CitationRecord
     config: IndexConfig
@@ -362,16 +362,8 @@ class PreparedRecord:
 
     def part(self, name):
         if name not in self.parts:
-            try:
-                self.parts[name] = _BUILDERS[name](self)
-            except UNAVAILABLE_ERRORS as exc:
-                self.parts[name] = exc.with_traceback(None)
-        value = self.parts[name]
-        if isinstance(value, UNAVAILABLE_ERRORS):
-            # A copy: the kept error, raised itself, would take a traceback
-            # that holds this view, and so the record, in a reference cycle.
-            raise copy.copy(value)
-        return value
+            self.parts[name] = _BUILDERS[name](self)
+        return self.parts[name]
 
 
 def _authored(view):
@@ -527,62 +519,49 @@ _scan_json = json.JSONDecoder().scan_once  # the C scanner json.loads decodes wi
 _json_space = json.decoder.WHITESPACE.match  # the whitespace json.loads skips
 
 
-def _skip_space(text, i):
-    """Index of the first non-whitespace character at or after i.  A single
-    space or newline, as in the ", " and ",\n" separators, is skipped
-    without a regex call.  Raises IndexError at the end of the text."""
-    if text[i] in " \t\n\r":
-        i += 1
-        if text[i] in " \t\n\r":
-            i = _json_space(text, i).end()
-    return i
-
-
 def _decode_record(text, source):
     """The CitationRecord of a JSON record text, decoded one top-level value
-    and one publication at a time, so that each publication's JSON tree is
-    dropped before the next is decoded.  None when the text is anything but
-    an object whose keys each appear once, whose publications value is an
-    array and whose every check passes: the caller then reads it as
-    record_from_dict(json.loads(text)) does, with the same messages."""
+    and one element of a publications array at a time, so that each
+    publication's JSON tree is dropped before the next is decoded.  A
+    repeated key keeps its last value, as in json.loads.  None when the text
+    is malformed JSON, is anything but one object, or fails a check: the
+    caller then reads it as record_from_dict(json.loads(text)) does, with
+    the same messages."""
     data = {}
     share = {}.setdefault
     try:
-        i = _skip_space(text, 0)
+        i = _json_space(text, 0).end()
         if text[i] != "{":
             return None
-        i = _skip_space(text, i + 1)
+        i = _json_space(text, i + 1).end()
         while True:
             if text[i] != '"':
                 return None
             key, i = _scan_json(text, i)
-            i = _skip_space(text, i)
-            if text[i] != ":" or key in data:
+            i = _json_space(text, i).end()
+            if text[i] != ":":
                 return None
-            i = _skip_space(text, i + 1)
-            if key != "publications":
+            i = _json_space(text, i + 1).end()
+            if key != "publications" or text[i] != "[":
                 data[key], i = _scan_json(text, i)
-            elif text[i] != "[":
-                return None
             else:
                 pubs = data[key] = []
-                i = _skip_space(text, i + 1)
+                i = _json_space(text, i + 1).end()
                 if text[i] != "]":
                     while True:
                         raw, i = _scan_json(text, i)
                         pubs.append(_publication(raw, source, len(pubs), share))
-                        if text[i] in " \t\n\r":  # none before a comma from json.dumps
-                            i = _skip_space(text, i)
+                        i = _json_space(text, i).end()
                         if text[i] != ",":
                             break
-                        i = _skip_space(text, i + 1)
+                        i = _json_space(text, i + 1).end()
                     if text[i] != "]":
                         return None
                 i += 1
-            i = _skip_space(text, i)
+            i = _json_space(text, i).end()
             if text[i] != ",":
                 break
-            i = _skip_space(text, i + 1)
+            i = _json_space(text, i + 1).end()
         if text[i] != "}" or _json_space(text, i + 1).end() != len(text):
             return None
         _check_record_fields(data, source)
@@ -740,14 +719,24 @@ def _read_record(path):
     suffix = path.suffix.lower()
     if suffix not in (".json", ".csv"):
         raise RecordParseError(f"{path}: cannot infer format from suffix {suffix!r}")
+    return _read_input(path, _parse_csv if suffix == ".csv" else _parse_json)
+
+
+def _parse_json(path):
+    text = path.read_text(encoding="utf-8")
+    record = _decode_record(text, str(path))
+    if record is None:
+        record = record_from_dict(json.loads(text), source=str(path))
+    return record
+
+
+def _read_input(path, read):
+    """read(path), with a fault in the file's text raised as a
+    RecordParseError naming the path: text that is not UTF-8, a CSV field
+    over the csv module's size limit, and JSON that is malformed, nested
+    too deeply or holds an integer too long to read."""
     try:
-        if suffix == ".csv":
-            return _parse_csv(path)
-        text = path.read_text(encoding="utf-8")
-        record = _decode_record(text, str(path))
-        if record is not None:
-            return record
-        data = json.loads(text)
+        return read(path)
     except json.JSONDecodeError as exc:
         raise RecordParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
@@ -758,4 +747,3 @@ def _read_record(path):
         raise RecordParseError(f"{path}: integer literal too long") from None
     except csv.Error as exc:
         raise RecordParseError(f"{path}: {exc}") from None
-    return record_from_dict(data, source=str(path))

@@ -9,8 +9,6 @@ from .errors import (DegenerateCohortError, DomainError, RecordValidationError,
                      UndefinedInputError)
 from .records import INT64_MAX, _finite, _plain_count
 
-DEFAULT_REFERENCE_FIELD = "physics"
-
 
 def _count(value, name, low=-math.inf):
     """value read by the plain-count rule with no upper bound: a count too

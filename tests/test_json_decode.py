@@ -2,8 +2,8 @@
 record one publication at a time, against the whole-tree read
 record_from_dict(json.loads(text)) that it falls back to.  Both must give
 an equal record, or the same exception type and message, on re-serialized
-records and on texts that break each assumption of the one-at-a-time
-decoder: repeated keys, stray separators, whitespace JSON does not allow,
+records and on texts that probe each branch of the one-at-a-time decoder:
+repeated keys, stray separators, whitespace JSON does not allow,
 trailing data, a BOM, deep nesting, overlong integers, NaN and a bad
 publication after good ones."""
 
@@ -124,6 +124,15 @@ def test_the_json_read_gives_the_whole_tree_message(tmp_path, publications, mess
     path.write_text('{"entity": "E", "publications": %s}' % publications, encoding="utf-8")
     assert _outcome(parse_record, path) == _outcome(_whole_tree_read, path) == (
         RecordParseError, message.format(path=path))
+
+
+def test_a_repeated_key_keeps_its_last_value():
+    text = ('{"entity": "A", "publications": [], "entity": "B", "publications": ['
+            + _PUB_TEXT % "a" + "]}")
+    walked = records._decode_record(text, "<text>")
+    assert walked is not None  # the one-at-a-time path reads this text
+    assert walked == records.record_from_dict(json.loads(text))
+    assert walked.entity == "B" and len(walked.publications) == 1
 
 
 def test_equal_years_and_author_names_are_stored_once_per_record(tmp_path):

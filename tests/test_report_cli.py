@@ -219,8 +219,9 @@ _OWN = IndexConfig(self_citation_mode="exclude_own")
     lambda record: compute_report(record, _OWN, strict=True),
 ])
 def test_a_raising_index_frees_its_record_without_collection(call):
-    # The prepared view keeps a part's error for the next index that asks;
-    # it must not hold the record in a reference cycle.
+    # An index whose view part fails raises the builder's own error, whose
+    # traceback holds the view; it must not hold the record in a reference
+    # cycle.
     record = CitationRecord(entity="counts", publications=(
         Publication(id="p", year=2000, citation_count=3),))
     freed = []
@@ -235,6 +236,21 @@ def test_a_raising_index_frees_its_record_without_collection(call):
     finally:
         if gc_was_enabled:
             gc.enable()
+
+
+def test_a_failing_view_part_is_not_kept():
+    # exclude_own cannot filter a counts-only record; each index that needs
+    # the filtered part builds it again and gets the same error.
+    view = records.prepare(_COUNTS_ONLY, _OWN)
+    messages = set()
+    for name in ("filtered", "vector", "authored", "vector"):
+        with pytest.raises(FidelityError) as exc:
+            view.part(name)
+        messages.add(str(exc.value))
+    assert messages == {"publication 'p1' has no citation events; "
+                        "self-citation filtering needs event-level data"}
+    assert view.part("now_year") == 2004
+    assert view.parts == {"now_year": 2004}
 
 
 def test_format_value_rules():
@@ -715,7 +731,7 @@ _FIT = "does not fit in a signed 64-bit integer"
 
 @pytest.mark.parametrize("command, name, text, message", [
     ("status", "cohort.csv", "entity,n_p,h\nM\xfcller,10,5\n".encode("latin-1"),
-     "codec can't decode byte 0xfc"),
+     "cohort.csv: not UTF-8 text"),
     ("compute", "nested.json", "[" * 100_000 + "]" * 100_000, "JSON nested too deeply"),
     ("compute", "digits.json", '{"entity": "E", "publications": [{"id": "p", "year": 2000, '
                                '"citation_count": ' + "9" * 5000 + "}]}",
@@ -737,7 +753,7 @@ _FIT = "does not fit in a signed 64-bit integer"
     ("compute", "wide.csv", "id,year,author_count,citation_count\n" + "p" * 200_000
                             + ",2000,1,3\n", "wide.csv: field larger than field limit"),
     ("status", "wide.csv", "entity,n_p,h\n" + "e" * 200_000 + ",10,5\n",
-     "field larger than field limit"),
+     "wide.csv: field larger than field limit"),
     ("status", "big.csv", f"entity,n_p,h\na,{_BIG},1\nb,2,1\nc,3,2\n", f"n_p {_FIT}"),
 ], ids=["status-latin1", "nested-json", "5000-digits", "json-citation-count",
         "json-author-count", "json-year", "json-event-year", "counts-csv", "events-csv",
