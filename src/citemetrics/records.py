@@ -517,57 +517,90 @@ def record_from_dict(data, source="<memory>"):
 
 _scan_json = json.JSONDecoder().scan_once  # the C scanner json.loads decodes with
 _json_space = json.decoder.WHITESPACE.match  # the whitespace json.loads skips
+_WINDOW = 1 << 16  # characters of a JSON record file read at a time
 
 
-def _decode_record(text, source):
-    """The CitationRecord of a JSON record text, decoded one top-level value
-    and one element of a publications array at a time, so that each
-    publication's JSON tree is dropped before the next is decoded.  A
-    repeated key keeps its last value, as in json.loads.  None when the text
-    is malformed JSON, is anything but one object, or fails a check: the
-    caller then reads it as record_from_dict(json.loads(text)) does, with
-    the same messages."""
+def _decode_record(read, source):
+    """The CitationRecord of the JSON record text that read(size) returns
+    piece by piece, as a text file's read does.  The text is walked through
+    a window, one top-level value and one element of a publications array at
+    a time, so that the window holds only the part of the text being walked
+    and each publication's JSON tree is dropped before the next is decoded.
+    A step that runs off the end of the window is walked again on its part
+    of the window with at least as much text again read after it, so a value
+    of any size takes a number of reads logarithmic in its size; a value
+    counts only when a non-space character follows it inside the window, so
+    a number split between reads is never read short.  A repeated key keeps
+    its last value, as in json.loads.  None when the text is malformed JSON,
+    is anything but one object, or fails a check: the caller then reads it
+    whole as record_from_dict(json.loads(text)) does, with the same
+    messages."""
     data = {}
     share = {}.setdefault
-    try:
-        i = _json_space(text, 0).end()
-        if text[i] != "{":
-            return None
-        i = _json_space(text, i + 1).end()
-        while True:
-            if text[i] != '"':
-                return None
-            key, i = _scan_json(text, i)
-            i = _json_space(text, i).end()
-            if text[i] != ":":
-                return None
-            i = _json_space(text, i + 1).end()
-            if key != "publications" or text[i] != "[":
-                data[key], i = _scan_json(text, i)
-            else:
-                pubs = data[key] = []
-                i = _json_space(text, i + 1).end()
-                if text[i] != "]":
-                    while True:
-                        raw, i = _scan_json(text, i)
-                        pubs.append(_publication(raw, source, len(pubs), share))
-                        i = _json_space(text, i).end()
-                        if text[i] != ",":
-                            break
-                        i = _json_space(text, i + 1).end()
-                    if text[i] != "]":
-                        return None
-                i += 1
-            i = _json_space(text, i).end()
-            if text[i] != ",":
+    text = read(_WINDOW)
+    i = 0  # where, in the window, the step being walked starts
+    # That step: "{" the record's opening brace, '"' a field, "[" the next
+    # element of the publications array, "," what follows a field's value.
+    step = "{"
+    while True:
+        try:
+            if step == "[":
+                while True:
+                    raw, j = _scan_json(text, _json_space(text, i).end())
+                    j = _json_space(text, j).end()
+                    sep = text[j]
+                    pubs.append(_publication(raw, source, len(pubs), share))
+                    i = j + 1
+                    if sep != ",":
+                        break
+                if sep != "]":
+                    return None
+                step = ","
+            j = _json_space(text, i).end()
+            if step == '"':
+                if text[j] != '"':
+                    return None
+                key, j = _scan_json(text, j)
+                j = _json_space(text, j).end()
+                if text[j] != ":":
+                    return None
+                j = _json_space(text, j + 1).end()
+                if key == "publications" and text[j] == "[":
+                    j = _json_space(text, j + 1).end()
+                    data[key] = pubs = []
+                    i, step = (j + 1, ",") if text[j] == "]" else (j, "[")
+                else:
+                    value, j = _scan_json(text, j)
+                    # An IndexError when only space follows the value in the
+                    # window: the value may go on in the next read.
+                    text[_json_space(text, j).end()]
+                    data[key], i, step = value, j, ","
+            elif text[j] == step:  # "{" before the first field, "," before the others
+                i, step = j + 1, '"'
+            elif step == "," and text[j] == "}":
+                i = j + 1
                 break
-            i = _json_space(text, i + 1).end()
-        if text[i] != "}" or _json_space(text, i + 1).end() != len(text):
+            else:
+                return None
+        # The scanner raises StopIteration on malformed JSON, ValueError on a
+        # bad string or an overlong integer, and RecursionError on deep
+        # nesting; any of them, like an IndexError, may mean only that the
+        # step runs on past the window.
+        except (IndexError, StopIteration, ValueError, RecursionError):
+            more = read(max(_WINDOW, len(text) - i))
+            if not more:
+                return None
+            text = text[i:] + more
+            i = 0
+        except RecordParseError:
             return None
+    while text:  # only whitespace may follow the record
+        if _json_space(text, i).end() != len(text):
+            return None
+        text, i = read(_WINDOW), 0
+    try:
         _check_record_fields(data, source)
-    # The scanner raises StopIteration on malformed JSON, ValueError on a
-    # bad string or an overlong integer, and RecursionError on deep nesting.
-    except (IndexError, StopIteration, ValueError, RecursionError, RecordParseError):
+    except RecordParseError:
         return None
     return _record(data, data["publications"])
 
@@ -723,27 +756,41 @@ def _read_record(path):
 
 
 def _parse_json(path):
-    text = path.read_text(encoding="utf-8")
-    record = _decode_record(text, str(path))
-    if record is None:
-        record = record_from_dict(json.loads(text), source=str(path))
-    return record
+    """The record of a JSON file, walked through a window of its text by
+    _decode_record.  A file the walk declines is read whole by json.loads,
+    so its faults get json's messages.  A file that cannot seek, such as a
+    named pipe, cannot be read twice: it is read whole first and walked as
+    one window."""
+    with open(path, encoding="utf-8") as fh:
+        if fh.seekable():
+            record = _decode_record(fh.read, str(path))
+            if record is None:
+                fh.seek(0)
+                text = fh.read()
+        else:
+            text = fh.read()
+            rest = iter((text,))
+            record = _decode_record(lambda size: next(rest, ""), str(path))
+    if record is not None:
+        return record
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise RecordParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise RecordParseError(f"{path}: JSON nested too deeply") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise RecordParseError(f"{path}: integer literal too long") from None
+    return record_from_dict(data, source=str(path))
 
 
 def _read_input(path, read):
     """read(path), with a fault in the file's text raised as a
-    RecordParseError naming the path: text that is not UTF-8, a CSV field
-    over the csv module's size limit, and JSON that is malformed, nested
-    too deeply or holds an integer too long to read."""
+    RecordParseError naming the path: text that is not UTF-8 and a CSV
+    field over the csv module's size limit."""
     try:
         return read(path)
-    except json.JSONDecodeError as exc:
-        raise RecordParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         raise RecordParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except RecursionError:
-        raise RecordParseError(f"{path}: JSON nested too deeply") from None
-    except ValueError:  # json.loads: an integer past the interpreter's digit limit
-        raise RecordParseError(f"{path}: integer literal too long") from None
     except csv.Error as exc:
         raise RecordParseError(f"{path}: {exc}") from None

@@ -5,8 +5,11 @@ an equal record, or the same exception type and message, on re-serialized
 records and on texts that probe each branch of the one-at-a-time decoder:
 repeated keys, stray separators, whitespace JSON does not allow,
 trailing data, a BOM, deep nesting, overlong integers, NaN and a bad
-publication after good ones."""
+publication after good ones.  The read walks a window of the file's text, so
+the same must hold with the window cut to a few characters, wherever its
+ends fall."""
 
+import io
 import json
 from unittest import mock
 
@@ -38,7 +41,7 @@ _MUTATIONS = ("none", "repeated-key", "odd-field", "unknown-field", "bad-publica
 def _whole_tree_read(path):
     """parse_record as it reads a file when the one-at-a-time decoder
     declines it: record_from_dict(json.loads(text))."""
-    with mock.patch.object(records, "_decode_record", lambda text, source: None):
+    with mock.patch.object(records, "_decode_record", lambda read, source: None):
         return parse_record(path)
 
 
@@ -107,7 +110,20 @@ def test_json_read_matches_the_whole_tree_read(tmp_path_factory, case):
     outcome = _outcome(parse_record, path)
     assert outcome == _outcome(_whole_tree_read, path)
     if mutation == "none":  # a well-formed record takes the one-at-a-time path
-        assert records._decode_record(text, str(path)) == outcome
+        assert records._decode_record(io.StringIO(text).read, str(path)) == outcome
+
+
+@given(_record_texts(), st.sampled_from((1, 2, 3, 7)))
+def test_json_read_through_a_small_window_matches_the_whole_tree_read(
+        tmp_path_factory, case, window):
+    mutation, text = case
+    path = tmp_path_factory.mktemp("decode") / "record.json"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(records, "_WINDOW", window):
+        outcome = _outcome(parse_record, path)
+        assert outcome == _outcome(_whole_tree_read, path)
+        if mutation == "none":
+            assert records._decode_record(io.StringIO(text).read, str(path)) == outcome
 
 
 _PUB_TEXT = '{"id": "%s", "year": 2000, "citation_count": 1}'
@@ -129,7 +145,7 @@ def test_the_json_read_gives_the_whole_tree_message(tmp_path, publications, mess
 def test_a_repeated_key_keeps_its_last_value():
     text = ('{"entity": "A", "publications": [], "entity": "B", "publications": ['
             + _PUB_TEXT % "a" + "]}")
-    walked = records._decode_record(text, "<text>")
+    walked = records._decode_record(io.StringIO(text).read, "<text>")
     assert walked is not None  # the one-at-a-time path reads this text
     assert walked == records.record_from_dict(json.loads(text))
     assert walked.entity == "B" and len(walked.publications) == 1
@@ -147,7 +163,7 @@ def test_equal_years_and_author_names_are_stored_once_per_record(tmp_path):
     text = json.dumps(data)
     path = tmp_path / "record.json"
     path.write_text(text, encoding="utf-8")
-    walked = records._decode_record(text, str(path))
+    walked = records._decode_record(io.StringIO(text).read, str(path))
     assert walked is not None  # the one-at-a-time path reads this text
     for record in (walked, _whole_tree_read(path), records.record_from_dict(data)):
         assert record == walked
@@ -156,3 +172,57 @@ def test_equal_years_and_author_names_are_stored_once_per_record(tmp_path):
         names = [a for p in pubs for a in p.authors]
         assert len({id(v) for v in years}) == len(set(years)) == 7
         assert len({id(v) for v in names}) == len(set(names)) == 3
+
+
+def _walked(path):
+    """parse_record(path), failing if the window walk declines the file."""
+    with mock.patch.object(records, "record_from_dict", side_effect=AssertionError("declined")):
+        return parse_record(path)
+
+
+_PUB = ('{"id": "p1", "year": 2001, "authors": ["Ann"], "author_count": 12345, '
+        '"citation_events": [{"year": 2003, "citing_authors": ["Bo"]}, {"year": 2004}]}')
+# Puts the "é" after it across the end of the text layer's first 8 KiB read.
+_LONG = "x" * (8192 - len('{"entity": "') - 1)
+
+
+@pytest.mark.parametrize("text, windows", [
+    # numbers in a publication, and a top-level number that a later key replaces
+    ('{"entity": 1234567, "publications": [%s], "entity": "E"}' % _PUB, None),
+    ('{"entity": "Caf\\u00e9 \\"q\\" \\ud83d\\ude00 \\\\", "owner_name": "Ann é € '
+     '\U0001f600", "publications": [%s]}' % _PUB, None),
+    ('{"entity": "E", "owner_name": null, "publications": [%s, %s]}'
+     % (_PUB, _PUB.replace('"p1"', '"p2"')), None),
+    (json.dumps({"entity": "E", "publications": [json.loads(_PUB)]},
+                indent=1).replace("\n", "\r\n"), None),
+    ('{"entity": "E", "publications": [%s]} \r\n\t \n  ' % _PUB, None),
+    ('{"entity": "%sé€\U0001f600", "publications": []}' % _LONG, (1, 7, 8190, 8191)),
+], ids=["number", "escapes-and-multibyte", "null", "crlf", "trailing-space",
+        "multibyte-across-file-reads"])
+def test_a_value_split_between_reads_is_read_whole(tmp_path, text, windows):
+    # Every window size up to the text's length puts a window end at every
+    # character of it; each read must still take the walk and give the record.
+    path = tmp_path / "record.json"
+    path.write_bytes(text.encode("utf-8"))
+    expected = records.record_from_dict(json.loads(text), str(path))
+    for window in windows or range(1, len(text) + 2):
+        with mock.patch.object(records, "_WINDOW", window):
+            assert _walked(path) == expected, window
+            assert records._decode_record(io.StringIO(text).read, str(path)) == expected
+
+
+@pytest.mark.parametrize("text", [
+    '{"entity": "E", "kind": true, "publications": []}',
+    '{"entity": 1234567, "publications": []}',
+    '{"entity": "E", "publications": [%s, 123]}' % _PUB,
+    '{"entity": "E", "publications": []} \r\n x',
+    '{"entity": "E", "publications": [%s]' % _PUB,
+], ids=["true", "number", "number-publication", "trailing-data", "truncated"])
+def test_a_declined_text_split_between_reads_gets_the_whole_tree_message(tmp_path, text):
+    path = tmp_path / "record.json"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _outcome(_whole_tree_read, path)
+    assert expected[0] is RecordParseError
+    for window in range(1, len(text) + 2):
+        with mock.patch.object(records, "_WINDOW", window):
+            assert _outcome(parse_record, path) == expected, window

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import gc
 import json
+import math
 import pickle
 import random
 import tracemalloc
@@ -77,6 +78,29 @@ def test_parse_rejects_unknown_fields(tmp_path):
     path.write_text(json.dumps({"entity": "E", "publications": [], "spurious": 1}))
     with pytest.raises(RecordParseError, match="spurious"):
         parse_record(path)
+
+
+@pytest.mark.parametrize("name", ["a\x00.json", "a\x00.csv"])
+def test_a_path_error_is_raised_as_itself(name):
+    with pytest.raises(ValueError, match="embedded null byte"):
+        parse_record(name)
+
+
+@pytest.mark.parametrize("window", [7, records._WINDOW])
+def test_text_that_is_not_utf8_past_the_first_window_is_named(tmp_path, monkeypatch, window):
+    monkeypatch.setattr(records, "_WINDOW", window)
+    data = json.dumps({"entity": "E", "publications": [
+        {"id": f"p{i}", "year": 2000, "authors": ["M\xfcller" if i == 1999 else "Ann"],
+         "citation_count": 1} for i in range(2000)]}, ensure_ascii=False)
+    raw = data.encode("latin-1")
+    assert raw.index(b"\xfc") > window
+    path = tmp_path / "latin1.json"
+    path.write_bytes(raw)
+    with pytest.raises(UnicodeDecodeError) as exc:
+        raw.decode("utf-8")
+    with pytest.raises(RecordParseError) as parse_exc:
+        parse_record(path)
+    assert str(parse_exc.value) == f"{path}: not UTF-8 text ({exc.value.reason})"
 
 
 def test_parse_counts_csv(tmp_path):
@@ -611,3 +635,45 @@ def test_json_parse_peak_is_the_text_plus_the_record(tmp_path):
     assert len(record.publications) == 1000
     text_size = path.stat().st_size
     assert peak < text_size + 1.5 * held, (text_size, held, peak)
+
+
+def test_json_parse_peak_does_not_grow_with_the_text(tmp_path):
+    # The text is walked through a window, so the same record written with
+    # deep indentation peaks within two windows of its compact form: the
+    # text is ASCII, one byte a character.  A first, untraced parse fills
+    # the interpreter's free lists, as a parse leaves them, for both.
+    data = json.loads(_event_record_text(1000, seed=7))
+    sizes, peaks = [], []
+    for indent in (None, 8):
+        path = tmp_path / f"indent-{indent}.json"
+        path.write_text(json.dumps(data, indent=indent), encoding="utf-8")
+        sizes.append(path.stat().st_size)
+        parse_record(path)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            record = parse_record(path)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert len(record.publications) == 1000
+        del record
+    assert sizes[1] - sizes[0] > 8 * records._WINDOW, sizes
+    assert abs(peaks[1] - peaks[0]) < 2 * records._WINDOW, (sizes, peaks)
+
+
+def test_a_huge_value_takes_logarithmically_many_reads():
+    entity = "e" * (4 << 20)
+    text = json.dumps({"entity": entity, "publications": []})
+    reads, position = [], 0
+
+    def read(size):
+        nonlocal position
+        reads.append(size)
+        position += size
+        return text[position - size:position]
+
+    record = records._decode_record(read, "<text>")
+    assert record == CitationRecord(entity=entity)
+    assert len(reads) <= math.log2(len(text) / records._WINDOW) + 3, reads

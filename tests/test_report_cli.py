@@ -4,8 +4,10 @@ import gc
 import importlib
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
 import weakref
 
 import pytest
@@ -719,6 +721,40 @@ def test_non_utf8_input_is_input_error(capsys, tmp_path, name, data):
     code, out, err = _run(capsys, ["compute", "--input", str(path)])
     assert code == 3 and out == ""
     assert err.startswith(f"error: {path}: not UTF-8 text (") and err.count("\n") == 1
+
+
+def _through_a_pipe(pipe, text, read):
+    """read(pipe) of a new named pipe that a thread writes text into, so the
+    file cannot seek and can be read only once."""
+    os.mkfifo(pipe)
+
+    def write():
+        with open(pipe, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        return read(pipe)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_json_named_pipe_reads_as_its_file_does(capsys, tmp_path, equal_h_paths):
+    text = equal_h_paths["A"].read_text(encoding="utf-8")
+    assert _through_a_pipe(tmp_path / "valid.json", text, parse_record) == parse_record(
+        equal_h_paths["A"])
+    malformed = text.replace("},", "},,", 1)
+    path = tmp_path / "malformed.json"
+    path.write_text(malformed, encoding="utf-8")
+    code, out, err = _through_a_pipe(tmp_path / "piped.json", malformed, lambda pipe: _run(
+        capsys, ["compute", "--input", str(pipe)]))
+    assert (code, out) == (3, "")
+    assert err == _run(capsys, ["compute", "--input", str(path)])[2].replace(
+        "malformed.json", "piped.json")
+    assert err.endswith("line 9: Expecting value\n") and err.count("\n") == 1
 
 
 def _json_with(pub):
