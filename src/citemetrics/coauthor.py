@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from collections import Counter
 
-from .core import _threshold_rank
+from .core import _add_ratios, _fold, _threshold_rank
 from .records import AuthoredVector, _plain_count, prepare
 
 
@@ -40,8 +40,10 @@ def hi_index(av, center="mean"):
         return 0.0
     if center == "mean":
         return h / (sum(core_authors) / h)
-    import statistics  # only this path needs it
-    return h / statistics.median(core_authors)
+    ranked = sorted(core_authors)
+    middle = h // 2
+    median = ranked[middle] if h % 2 else (ranked[middle - 1] + ranked[middle]) / 2
+    return h / median
 
 
 def pure_h(av, scores=None):
@@ -70,13 +72,20 @@ def schreiber_hm(av):
     """Fractional-rank variant: accumulate effective ranks 1/authors down the
     citation-descending list and return the largest effective rank that still
     fits under its citation count.  Effective ranks rise and counts fall, so
-    the first miss ends the scan."""
-    effective_rank = Fraction(0)
-    best = Fraction(0)
-    for count, n_authors in _entries(av):
-        effective_rank += Fraction(1, n_authors)
-        if effective_rank <= count:
-            best = effective_rank
-        else:
+    the first miss ends the scan.  Every rank up to h fits, its effective
+    rank being at most the rank itself, so the scan starts past h from the
+    h-core's effective rank: papers/authors summed once per distinct author
+    count, as a balanced tree.  Past h it is held as num / den over a common
+    multiple of the author counts, and the float is num / den, rounded
+    once."""
+    entries = _entries(av)
+    h = _threshold_rank(c for c, _ in entries)
+    papers = Counter(a for _, a in entries[:h])  # author count -> papers
+    num, den = _fold(((m, a) for a, m in papers.items()), _add_ratios, (0, 1))
+    for count, n_authors in entries[h:]:
+        step = math.lcm(den, n_authors)
+        next_num = num * (step // den) + step // n_authors
+        if next_num > count * step:
             break
-    return float(best)
+        num, den = next_num, step
+    return num / den

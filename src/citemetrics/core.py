@@ -10,13 +10,16 @@ The threshold scans (h, h2, w, g, f, t, h_w) stop at their first failing
 rank.  That is exact: the tested quantity (a count, the top-k arithmetic,
 harmonic or geometric mean, or h_w's weighted rank against a falling count)
 never moves toward the threshold as the rank grows, nor the threshold
-toward it.
+toward it.  In f and t every rank up to h passes: there c_k >= k, so the
+top-k product is at least k**k and the top-k reciprocal sum at most
+k/c_k <= 1.  Their scans start past h, from the h-core's product or
+reciprocal sum built once as a balanced tree.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import operator
 
 from .errors import DomainError
 from .records import G_CONVENTIONS, CitationVector, _finite, _plain_count
@@ -126,23 +129,41 @@ def maxprod(v):
                default=0)
 
 
+def _fold(items, combine, empty):
+    """items combined pairwise, level by level, so that the big integers of
+    a long product grow evenly; empty when there are none."""
+    items = list(items)
+    while len(items) > 1:
+        paired = list(map(combine, items[::2], items[1::2]))
+        if len(items) % 2:
+            paired.append(items[-1])
+        items = paired
+    return items[0] if items else empty
+
+
+def _add_ratios(a, b):
+    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+
+
 def f_index(v):
     """Largest f whose top-f papers have harmonic mean citations >= f.
 
-    A zero count makes the harmonic mean 0 and ends the scan.  Exact
-    rational arithmetic keeps boundary cases deterministic.
+    A zero count makes the harmonic mean 0 and ends the scan.  The
+    reciprocal sum is held as an integer numerator and denominator, so
+    boundary cases are decided exactly.
     """
-    best = 0
-    reciprocal_sum = Fraction(0)
-    for f, count in enumerate(_descending(v), start=1):
-        if count == 0:
-            break
-        reciprocal_sum += Fraction(1, count)
-        if reciprocal_sum <= 1:  # f / reciprocal_sum >= f, exactly
-            best = f
-        else:
-            break
-    return best
+    counts = _descending(v)
+    f = _threshold_rank(counts)
+    if f < len(counts) and counts[f]:
+        num, den = _fold(((1, c) for c in counts[:f]), _add_ratios, (0, 1))
+        for count in counts[f:]:
+            if count == 0:
+                break
+            num, den = num * count + den, den * count
+            if num > den:  # f / reciprocal_sum < f, exactly
+                break
+            f += 1
+    return f
 
 
 def t_index(v):
@@ -151,17 +172,16 @@ def t_index(v):
     The comparison is done in exact integers (product >= t**t), which is the
     geometric-mean condition without floating-point noise.
     """
-    best = 0
-    product = 1
-    for t, count in enumerate(_descending(v), start=1):
-        if count == 0:
-            break
-        product *= count
-        if product >= t ** t:
-            best = t
-        else:
-            break
-    return best
+    counts = _descending(v)
+    t = _threshold_rank(counts)
+    if t < len(counts) and counts[t]:
+        product = _fold(counts[:t], operator.mul, 1)
+        for count in counts[t:]:
+            product *= count
+            if product < (t + 1) ** (t + 1):  # a zero count fails here too
+                break
+            t += 1
+    return t
 
 
 def rm_index(v):

@@ -301,26 +301,19 @@ def filter_self_citations(record, mode="include"):
     pubs = record.publications
     for pub in pubs:
         require_events(pub, "self-citation filtering")
-    # Each distinct author and citing-author spelling is normalized once per
-    # record; an event is a self-citation when it names a blocked spelling.
-    authors = {a: normalize_author(a)
-               for a in set(chain.from_iterable(p.authors for p in pubs))}
-    blockable = {owner} if mode == "exclude_own" else {owner, *authors.values()}
-    citers = set(chain.from_iterable(chain.from_iterable(p.event_citers for p in pubs)))
-    spellings = {}  # blockable name -> its spellings among the citing authors
-    for name, normalized in zip(citers, map(normalize_author, citers)):
-        if normalized in blockable:
-            spellings.setdefault(normalized, set()).add(name)
-    own = spellings.get(owner, set())
-    author_spellings = {a: spellings.get(normalized, ()) for a, normalized in authors.items()}
+    # Each publication is decided on its own: the distinct citing spellings
+    # of its events are normalized once, and an event is a self-citation
+    # when it names one whose identity is blocked for this publication.
     new_pubs = []
     for pub in pubs:
-        blocked = own if mode == "exclude_own" else own.union(
-            *map(author_spellings.__getitem__, pub.authors))
-        if blocked.isdisjoint(chain.from_iterable(pub.event_citers)):
+        blocked = {owner} if mode == "exclude_own" else {
+            owner, *map(normalize_author, pub.authors)}
+        citers = set(chain.from_iterable(pub.event_citers))
+        hits = set(compress(citers, map(blocked.__contains__, map(normalize_author, citers))))
+        if not hits:
             new_pubs.append(pub)
             continue
-        keep = list(map(blocked.isdisjoint, pub.event_citers))
+        keep = list(map(hits.isdisjoint, pub.event_citers))
         years = tuple(compress(pub.event_years, keep))
         new_pubs.append(Publication(
             id=pub.id, year=pub.year, authors=pub.authors, author_count=pub.author_count,

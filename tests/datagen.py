@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 
 from citemetrics import CitationEvent, CitationRecord, Publication
 
-# Spellings that normalise to three identities, so owners, co-authors and
-# citing authors overlap in every combination.
-AUTHOR_NAMES = ("Ann Lee", " ann lee", "Bo Chen", "BO CHEN", "Cy Diaz")
+# Spellings that normalise to four identities, so owners, co-authors and
+# citing authors overlap in every combination.  They differ by surrounding
+# space, by case, and by case-folding alone ("ß" folds to "ss", which no
+# lower-casing does).
+AUTHOR_NAMES = ("Ann Lee", " ann lee", "Bo Chen", "BO CHEN", "Cy Diaz",
+                "Jo Straße", "JO STRASSE ")
 
 
 def random_vectors(count, seed):

@@ -11,6 +11,25 @@ from citemetrics import (AuthoredVector, CitationRecord, FidelityError,
 pair_lists = st.lists(st.tuples(st.integers(min_value=0, max_value=60),
                                 st.integers(min_value=1, max_value=10)),
                       max_size=25)
+# Pairs that decide h_m and the median at their edges: an effective rank
+# equal to its count (runs of c*m papers of c citations and m authors),
+# citation and author counts near 2**63, and an even-length h-core (2k papers
+# of 2k citations), each with a short tail that can end the scan.
+_EDGES = st.one_of(
+    st.tuples(st.integers(min_value=1, max_value=4),
+              st.integers(min_value=1, max_value=6)).map(lambda cm: [cm] * (cm[0] * cm[1])),
+    st.lists(st.tuples(st.integers(min_value=2 ** 63 - 2 ** 10, max_value=2 ** 63 - 1)
+                       | st.integers(min_value=0, max_value=60),
+                       st.integers(min_value=1, max_value=10)
+                       | st.integers(min_value=2 ** 62, max_value=2 ** 63 - 1)),
+             max_size=25),
+    st.integers(min_value=1, max_value=6).flatmap(lambda k: st.lists(
+        st.tuples(st.just(2 * k), st.integers(min_value=1, max_value=2 ** 63 - 1)),
+        min_size=2 * k, max_size=2 * k)),
+)
+edge_pairs = st.tuples(_EDGES, st.lists(st.tuples(st.integers(min_value=0, max_value=4),
+                                                  st.integers(min_value=1, max_value=4)),
+                                        max_size=4)).map(lambda et: [*et[0], *et[1]])
 # (citations, authors, year): small counts, so that equal counts straddle the
 # h-core often; the year, and the id from the position, set the record tie
 # order among them
@@ -94,9 +113,10 @@ def test_hi_oracle_on_hand_computed_cores(pairs, mean, median):
 
 
 @pytest.mark.parametrize("center", ["mean", "median"])
-@given(pairs=pair_lists, pubs=authored_pubs)
-def test_hi_matches_oracle(pairs, pubs, center):
+@given(pairs=pair_lists, edges=edge_pairs, pubs=authored_pubs)
+def test_hi_matches_oracle(pairs, edges, pubs, center):
     assert hi_index(pairs, center) == vo.oracle_hi(pairs, center)
+    assert hi_index(edges, center) == vo.oracle_hi(edges, center)
     given_order, vector, ranked = _authored_data(pubs)
     assert hi_index(given_order, center) == vo.oracle_hi(given_order, center)
     assert hi_index(vector, center) == vo.oracle_hi(ranked, center)
@@ -177,9 +197,10 @@ def test_all_single_author_collapse(pairs):
     assert schreiber_hm(pairs) == h
 
 
-@given(pair_lists, authored_pubs)
-def test_schreiber_matches_oracle(pairs, pubs):
+@given(pair_lists, edge_pairs, authored_pubs)
+def test_schreiber_matches_oracle(pairs, edges, pubs):
     assert schreiber_hm(pairs) == vo.oracle_schreiber_hm(pairs)
+    assert schreiber_hm(edges) == vo.oracle_schreiber_hm(edges)
     given_order, vector, ranked = _authored_data(pubs)
     assert schreiber_hm(given_order) == vo.oracle_schreiber_hm(given_order)
     assert schreiber_hm(vector) == vo.oracle_schreiber_hm(ranked)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,23 @@ from golden_values import CLASSIFIED_PRINTED, EQUAL_H_PRINTED, NEW_INDEX_PRINTED
 counts_lists = st.lists(st.integers(min_value=0, max_value=200), max_size=40)
 positive_counts = st.lists(st.integers(min_value=1, max_value=200),
                            min_size=1, max_size=40)
+# Counts that f and t decide past h: an exact tie at the crossing (a
+# reciprocal sum of exactly 1, a product of exactly t**t), long runs of equal
+# counts and counts near 2**63, each with a short tail that can end the scan.
+# The g and h_w oracles would scan up to sqrt(2**63) ranks, so these go to f
+# and t alone.
+_CROSSINGS = st.one_of(
+    st.sampled_from([(2, 3, 6), (2, 4, 4), (3, 3, 3), (2, 3, 7, 42), (2, 4, 6, 12),
+                     (3, 4, 4, 6), (4, 4, 4, 4)]),
+    st.integers(min_value=2, max_value=6).map(lambda t: (t ** t,) + (1,) * (t - 1)),
+    st.sampled_from([(4, 1), (9, 3, 1), (16, 8, 2, 1), (8, 8, 2, 2), (25, 25, 5, 1, 1)]),
+    st.tuples(st.integers(min_value=0, max_value=60),
+              st.integers(min_value=1, max_value=80)).map(lambda run: (run[0],) * run[1]),
+    st.lists(st.integers(min_value=2 ** 63 - 2 ** 10, max_value=2 ** 63 - 1)
+             | st.integers(min_value=0, max_value=60), max_size=40).map(tuple),
+)
+crossing_counts = st.tuples(_CROSSINGS, st.lists(st.integers(min_value=0, max_value=8),
+                                                 max_size=5)).map(lambda ct: [*ct[0], *ct[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +156,17 @@ def test_t_cases():
     assert t_index([1]) == 1
 
 
+@pytest.mark.parametrize("tail, f, t", [((), 50_000, 50_000), ((1, 0), 50_000, 50_001)])
+def test_f_and_t_pass_the_h_core_without_arithmetic(tail, f, t):
+    # Every rank up to h passes, so 50,000 counts of 2**62 need no product or
+    # reciprocal sum; a tail past h builds the h-core's once, as a tree.
+    counts = [2 ** 62] * 50_000 + list(tail)
+    for index, want in ((f_index, f), (t_index, t)):
+        started = time.perf_counter()
+        assert index(counts) == want
+        assert time.perf_counter() - started < 1.0
+
+
 def test_rm_single():
     assert rm_index([1]) == 1
 
@@ -201,8 +230,8 @@ def _h_alpha(v, alpha):
         return None
 
 
-@given(counts_lists, st.sampled_from([-0.1, -1.0, 0.5]))
-def test_matches_definitional_oracles(counts, alpha):
+@given(counts_lists, crossing_counts, st.sampled_from([-0.1, -1.0, 0.5]))
+def test_matches_definitional_oracles(counts, crossing, alpha):
     # each index on the plain list and on the record's prepared citation
     # vector, which it reads as it is
     vector = citation_vector(_counts_record(counts))
@@ -210,6 +239,9 @@ def test_matches_definitional_oracles(counts, alpha):
         assert index(counts) == index(vector) == oracle(counts)
     assert (_h_alpha(counts, alpha) == _h_alpha(vector.counts, alpha)
             == vo.oracle_h_alpha(counts, alpha))
+    vector = citation_vector(_counts_record(crossing))
+    for index, oracle in ((f_index, vo.oracle_f), (t_index, vo.oracle_t)):
+        assert index(crossing) == index(vector) == oracle(crossing)
 
 
 @given(positive_counts)

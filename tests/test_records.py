@@ -8,7 +8,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from citemetrics import (CitationEvent, CitationRecord, FidelityError,
                          IndexConfig, Publication, RecordParseError,
@@ -278,6 +278,13 @@ def test_exclude_coauthor_removes_superset_of_exclude_own(citing_lists):
 
 @given(st.none() | st.sampled_from(AUTHOR_NAMES), event_publications(),
        st.sampled_from(["exclude_own", "exclude_coauthor"]))
+# no owner under exclude_coauthor, and each citer an author of the other
+# publication only: every citation is kept
+@example(None, [(2000, ("Ann Lee",), [(2001, ("BO CHEN",))]),
+                (2000, ("Bo Chen",), [(2002, (" ann lee", "Cy Diaz"))])], "exclude_coauthor")
+# the owner cites under a spelling equal to theirs after case-folding alone
+@example("JO STRASSE ", [(2000, (), [(2001, ("Jo Straße",)), (2001, ("Cy Diaz",))])],
+         "exclude_own")
 def test_filter_matches_oracle(owner, pubs, mode):
     record = event_record(owner, pubs)
     if mode == "exclude_own" and owner is None:

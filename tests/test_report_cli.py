@@ -101,10 +101,18 @@ def sort_calls(monkeypatch):
 
 
 def test_report_ranks_each_record_once(sort_calls):
-    # the ranking, then the contemporary and the trend score lists
+    # The one ranking, the contemporary and the trend score lists, and the
+    # h-core author counts whose median h_i_median takes (now_year 2006,
+    # gamma 4, delta 1).
     rep = compute_report(_OWNED)
     assert not rep.unavailable
-    assert len(sort_calls) == 3
+    ranking, contemporary, trend, core_authors = sort_calls
+    assert ranking is _OWNED.publications
+    assert contemporary == pytest.approx(
+        [4 * p.citations() / (2006 - p.year + 1) for p in _OWNED.publications])
+    assert trend == pytest.approx(
+        [4 * sum(1 / (2006 - y + 1) for y in p.event_years) for p in _OWNED.publications])
+    assert core_authors == [2, 2, 2] and rep.values["h_i_median"] == 3 / 2
 
 
 @pytest.fixture
@@ -151,7 +159,8 @@ def test_index_functions_read_prepared_vectors_as_they_are(sort_calls):
     for index in (coauthor.hi_index, lambda av: coauthor.hi_index(av, "median"),
                   coauthor.pure_h, coauthor.schreiber_hm):
         index(authored)
-    assert sort_calls == []
+    # the one sort left is of the h-core author counts, for the median
+    assert sort_calls == [[2, 2, 2]]
 
 
 _NO_OWNER = CitationRecord(entity="anon", publications=(
@@ -1090,15 +1099,21 @@ def test_cli_import_leaves_numpy_out():
     assert result.stdout == "False\n"
 
 
-def test_compute_leaves_aggregate_and_venue_unimported(equal_h_paths):
-    # Each command imports only the modules it runs.
+def test_compute_leaves_aggregate_and_venue_unimported(tmp_path):
+    # Each command imports only the modules it runs, and a report's exact
+    # arithmetic and median need no fractions, decimal or statistics.  The
+    # record has events, an owner and author counts, so all 23 keys run.
+    write_record(_OWNED, tmp_path / "owned.json")
+    unwanted = ("citemetrics.aggregate", "citemetrics.venue", "fractions", "decimal",
+                "statistics")
     script = ("import sys; from citemetrics.cli import main; code = main(sys.argv[1:]); "
-              "print(code, [m for m in ('citemetrics.aggregate', 'citemetrics.venue') "
-              "if m in sys.modules], file=sys.stderr)")
+              f"print(code, [m for m in {unwanted!r} if m in sys.modules], file=sys.stderr)")
     result = subprocess.run(
-        [sys.executable, "-c", script, "compute", "--input", str(equal_h_paths["A"])],
+        [sys.executable, "-c", script, "compute", "--input", str(tmp_path / "owned.json"),
+         "--self-citations", "exclude-coauthor", "--format", "json"],
         capture_output=True, text=True, check=True)
     assert result.stderr == "0 []\n"
+    assert sorted(json.loads(result.stdout)["values"]) == sorted(REPORT_INDEX_KEYS)
 
 
 # Every name the package exported when its __init__ imported each module eagerly.
