@@ -12,7 +12,6 @@ reduce and drop each record before they read the next file.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -21,7 +20,7 @@ from . import report as report_mod
 from .errors import (DegenerateCohortError, DomainError, FidelityError,
                      RecordParseError, RecordValidationError, UndefinedInputError)
 from .records import (G_CONVENTIONS, SELF_CITATION_MODES, IndexConfig, _csv_int,
-                      _parse_int, _read_input, parse_record)
+                      parse_record, read_cohort)
 from .temporal import h_matrix, h_sequence
 
 _INPUT_ERRORS = (RecordParseError, RecordValidationError, FidelityError, OSError)
@@ -166,16 +165,10 @@ def cmd_matrix(parser, args):
     return 0
 
 
-def cmd_successive(parser, args):
-    from .aggregate import group_indices
-    _emit_metrics(list(group_indices(map(parse_record, args.inputs),
-                                     ("successive_h",)).items()), args)
-    return 0
-
-
 def cmd_group(parser, args):
     from .aggregate import group_indices
-    _emit_metrics(list(group_indices(map(parse_record, args.inputs)).items()), args)
+    group = map(parse_record, args.inputs)
+    _emit_metrics(list(group_indices(group, args.keys).items()), args)
     return 0
 
 
@@ -239,26 +232,9 @@ def cmd_field(parser, args):
     return 0
 
 
-def _read_cohort(path):
-    """The (entity, n_p, h) rows of a cohort CSV file."""
-    points = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != ["entity", "n_p", "h"]:
-            raise RecordParseError(f"{path}: line 1: cohort header must be entity,n_p,h")
-        # Blank rows are skipped and not counted, as for record CSVs.
-        for lineno, row in enumerate(filter(None, reader), start=2):
-            if len(row) != 3:
-                raise RecordParseError(f"{path}: line {lineno}: wrong number of columns")
-            entity, n_p, h = row
-            where = f"{path}: line {lineno}"
-            points.append((entity, _parse_int(n_p, where, "n_p"), _parse_int(h, where, "h")))
-    return points
-
-
 def cmd_status(parser, args):
     from .venue import CohortPoint, research_status
-    points = _read_input(args.input, _read_cohort)
+    points = read_cohort(args.input)
     header = ["entity", "n_p", "h", "residual"]
     # Residuals pair with points by position: entity names may repeat.
     residuals = research_status(CohortPoint(*point) for point in points)
@@ -313,12 +289,12 @@ def build_parser():
     p = sub.add_parser("successive", help="h-index of the members' h-indices")
     p.add_argument("--inputs", nargs="+", required=True)
     _add_output_flags(p)
-    p.set_defaults(func=cmd_successive)
+    p.set_defaults(func=cmd_group, keys=("successive_h",))
 
     p = sub.add_parser("group", help="group indices over member records")
     p.add_argument("--inputs", nargs="+", required=True)
     _add_output_flags(p)
-    p.set_defaults(func=cmd_group)
+    p.set_defaults(func=cmd_group, keys=("successive_h", "group_hp", "group_hc"))
 
     # Each flag is stored under its SimConfig field name, and only when
     # given: SimConfig holds the defaults.

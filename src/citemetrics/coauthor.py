@@ -13,7 +13,7 @@ def authored_vector(record, config=None):
     """Build the (citations, authors) vector with the record-model tie rule,
     filtering self-citations first when a config is given.  Every
     publication must expose an author count of at least 1."""
-    return prepare(record, config).part("authored")
+    return prepare(record, config).authored
 
 
 def _entries(av):

@@ -1,8 +1,9 @@
 """Citation-record data model.
 
-Defines the record/publication/event types, file ingestion (JSON and two CSV
-layouts), validation, self-citation filtering and the prepared view: a
-record filtered, ranked and dated once, whose citation and authored vectors
+Defines the record/publication/event types, file ingestion (JSON and three
+CSV layouts: counts and events for records, entity,n_p,h for cohorts, read by
+one set of rules), validation, self-citation filtering and the prepared view:
+a record filtered, ranked and dated once, whose citation and authored vectors
 every index module consumes.  Records are immutable after parsing;
 everything here is a pure function of its inputs.
 
@@ -19,7 +20,8 @@ import gc
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
 from pathlib import Path
 
@@ -35,9 +37,6 @@ UNAVAILABLE_ERRORS = (FidelityError, UndefinedInputError, DomainError)
 # Every integer a record or config carries must fit a signed 64-bit word;
 # larger ones would overflow the float arithmetic of the indices.
 INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
-
-_COUNTS_CSV_HEADER = ["id", "year", "author_count", "citation_count"]
-_EVENTS_CSV_HEADER = ["pub_id", "pub_year", "author_count", "cite_year", "citing_authors"]
 
 
 def _plain_count(value, low=0, name="citation count", high=INT64_MAX):
@@ -328,7 +327,7 @@ def citation_vector(record, config=None):
     """Descending citation counts with a fixed tie order (year asc, id asc)
     so reports are reproducible.  Self-citation filtering is applied first,
     when a config is given."""
-    return prepare(record, config).part("vector")
+    return prepare(record, config).vector
 
 
 def totals(record):
@@ -341,50 +340,47 @@ def totals(record):
 # ---------------------------------------------------------------------------
 # The prepared view
 
-@dataclass(frozen=True, slots=True)
 class PreparedRecord:
     """A record with the parts the indices read, each built once, when an
-    index first asks for it; parts holds the parts built so far.  A part
-    whose builder raises is not kept: the next index that needs it builds
-    it again and gets the same error, so each index reports what it would
-    report on its own."""
+    index first reads it.  A part whose builder raises is not kept: the next
+    index that reads it builds it again and gets the same error, so each
+    index reports what it would report on its own."""
 
-    record: CitationRecord
-    config: IndexConfig
-    parts: dict = field(default_factory=dict)
+    def __init__(self, record, config):
+        self.record = record
+        self.config = config
 
-    def part(self, name):
-        if name not in self.parts:
-            self.parts[name] = _BUILDERS[name](self)
-        return self.parts[name]
+    @cached_property
+    def filtered(self):
+        return filter_self_citations(self.record, self.config.self_citation_mode)
 
+    @cached_property
+    def ranked(self):
+        # The one tie rule every ranking follows: citations descending, then
+        # year and id ascending.
+        return sorted(self.filtered.publications, key=lambda p: (-p.citations(), p.year, p.id))
 
-def _authored(view):
-    entries = []
-    for pub in view.part("ranked"):
-        n_authors = pub.effective_author_count()
-        if n_authors is None or n_authors < 1:
-            raise FidelityError(
-                f"publication {pub.id!r} has no author count; "
-                "co-authorship indices need one")
-        entries.append((int(pub.citations()), int(n_authors)))
-    return AuthoredVector(tuple(entries))
+    @cached_property
+    def vector(self):
+        return CitationVector(counts=tuple(p.citations() for p in self.ranked),
+                              publication_ids=tuple(p.id for p in self.ranked))
 
+    @cached_property
+    def authored(self):
+        entries = []
+        for pub in self.ranked:
+            n_authors = pub.effective_author_count()
+            if n_authors is None or n_authors < 1:
+                raise FidelityError(
+                    f"publication {pub.id!r} has no author count; "
+                    "co-authorship indices need one")
+            entries.append((int(pub.citations()), int(n_authors)))
+        return AuthoredVector(tuple(entries))
 
-_BUILDERS = {
-    "filtered": lambda view: filter_self_citations(
-        view.record, view.config.self_citation_mode),
-    # The one tie rule every ranking follows: citations descending, then
-    # year and id ascending.
-    "ranked": lambda view: sorted(view.part("filtered").publications,
-                                  key=lambda p: (-p.citations(), p.year, p.id)),
-    "vector": lambda view: CitationVector(
-        counts=tuple(p.citations() for p in view.part("ranked")),
-        publication_ids=tuple(p.id for p in view.part("ranked"))),
-    "authored": _authored,
-    # One observation year per record, whatever the self-citation mode.
-    "now_year": lambda view: resolve_now_year(view.record, view.config),
-}
+    @cached_property
+    def now_year(self):
+        # One observation year per record, whatever the self-citation mode.
+        return resolve_now_year(self.record, self.config)
 
 
 def prepare(record, config=None):
@@ -637,31 +633,30 @@ def _csv_int(text):
     return int(text)
 
 
-def _parse_int(value, where, field, required=True):
+def _parse_int(value, path, lineno, field, required=True):
+    """The int of a CSV integer field, None for an empty optional one; a
+    RecordParseError naming the file's line otherwise."""
     text = (value or "").strip()
     if not text:
         if required:
-            raise RecordParseError(f"{where}: missing value for {field!r}")
+            raise RecordParseError(f"{path}: line {lineno}: missing value for {field!r}")
         return None
     try:
         return _csv_int(text)
     except ValueError:
-        raise RecordParseError(f"{where}: field {field!r} is not an integer: {text!r}") from None
+        raise RecordParseError(
+            f"{path}: line {lineno}: field {field!r} is not an integer: {text!r}") from None
 
 
 def _parse_counts_csv(path, rows):
     pubs = []
-    for lineno, row in rows:
-        where = f"{path}: line {lineno}"
-        if len(row) != len(_COUNTS_CSV_HEADER):
-            raise RecordParseError(f"{where}: wrong number of columns")
-        raw_id, raw_year, raw_author_count, raw_citation_count = row
+    for lineno, (raw_id, raw_year, raw_author_count, raw_citation_count) in rows:
         pubs.append(Publication(
             id=raw_id.strip(),
-            year=_parse_int(raw_year, where, "year"),
-            author_count=_parse_int(raw_author_count, where, "author_count",
+            year=_parse_int(raw_year, path, lineno, "year"),
+            author_count=_parse_int(raw_author_count, path, lineno, "author_count",
                                     required=False),
-            citation_count=_parse_int(raw_citation_count, where, "citation_count")))
+            citation_count=_parse_int(raw_citation_count, path, lineno, "citation_count")))
     return pubs
 
 
@@ -672,27 +667,22 @@ def _parse_events_csv(path, rows):
     # is parsed and compared.
     pubs = {}
     cite_years = {}  # raw cite_year -> its int, so each spelling is parsed once
-    for lineno, row in rows:
-        if len(row) != len(_EVENTS_CSV_HEADER):
-            raise RecordParseError(f"{path}: line {lineno}: wrong number of columns")
-        raw_id, raw_year, raw_author_count, raw_cite_year, raw_citing = row
+    for lineno, (raw_id, raw_year, raw_author_count, raw_cite_year, raw_citing) in rows:
         pub_id = raw_id.strip()
         pub = pubs.get(pub_id)
         if pub is None or pub[0] != raw_year or pub[1] != raw_author_count:
-            where = f"{path}: line {lineno}"
-            year = _parse_int(raw_year, where, "pub_year")
-            author_count = _parse_int(raw_author_count, where, "author_count",
+            year = _parse_int(raw_year, path, lineno, "pub_year")
+            author_count = _parse_int(raw_author_count, path, lineno, "author_count",
                                       required=False)
             if pub is None:
                 pub = pubs[pub_id] = (raw_year, raw_author_count, year, author_count, [], [])
             elif pub[2:4] != (year, author_count):
                 raise RecordParseError(
-                    f"{where}: publication {pub_id!r} repeats with different "
-                    "pub_year/author_count")
+                    f"{path}: line {lineno}: publication {pub_id!r} repeats with "
+                    "different pub_year/author_count")
         cite_year = cite_years.get(raw_cite_year)
         if cite_year is None:
-            cite_year = _parse_int(raw_cite_year, f"{path}: line {lineno}", "cite_year",
-                                   required=False)
+            cite_year = _parse_int(raw_cite_year, path, lineno, "cite_year", required=False)
             if cite_year is None:
                 continue  # zero-citation publication, listed once with empty cite_year
             cite_years[raw_cite_year] = cite_year
@@ -703,26 +693,56 @@ def _parse_events_csv(path, rows):
             for pub_id, (_, _, year, author_count, years, citers) in pubs.items()]
 
 
-def _parse_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header == _COUNTS_CSV_HEADER:
-            parser = _parse_counts_csv
-        elif header == _EVENTS_CSV_HEADER:
-            parser = _parse_events_csv
-        else:
-            raise RecordParseError(
-                f"{path}: line 1: unrecognized CSV header {header!r}")
-        # Blank rows are skipped and not counted, as csv.DictReader does.
-        pubs = parser(path, enumerate(filter(None, reader), start=2))
-    record = CitationRecord(entity=Path(path).stem, publications=tuple(pubs))
-    return validate_record(record)
+def _parse_cohort_csv(path, rows):
+    return [(entity, _parse_int(n_p, path, lineno, "n_p"), _parse_int(h, path, lineno, "h"))
+            for lineno, (entity, n_p, h) in rows]
+
+
+_RECORD_CSV_LAYOUTS = {
+    ("id", "year", "author_count", "citation_count"): _parse_counts_csv,
+    ("pub_id", "pub_year", "author_count", "cite_year", "citing_authors"): _parse_events_csv,
+}
+_COHORT_CSV_LAYOUTS = {("entity", "n_p", "h"): _parse_cohort_csv}
+
+
+def _read_csv(path, layouts, bad_header):
+    """The CSV file at path, parsed by the parser that layouts maps its
+    header to; any other header is a RecordParseError bad_header.format(header).
+    The parser reads (path, rows), where rows yields (line number, row) for
+    each row after the header.  Blank rows are skipped and not counted, as
+    csv.DictReader does, and a row whose column count differs from the
+    header's is a RecordParseError."""
+    def read(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            parse = layouts.get(tuple(header or ()))
+            if parse is None:
+                raise RecordParseError(f"{path}: line 1: {bad_header.format(header)}")
+            return parse(path, _checked_rows(path, len(header), reader))
+    return _read_input(path, read)
+
+
+def _checked_rows(path, width, reader):
+    for lineno, row in enumerate(filter(None, reader), start=2):
+        if len(row) != width:
+            raise RecordParseError(f"{path}: line {lineno}: wrong number of columns")
+        yield lineno, row
+
+
+def read_cohort(path):
+    """The (entity, n_p, h) rows of a cohort CSV file, read by the rules of
+    a record CSV file."""
+    return _read_csv(path, _COHORT_CSV_LAYOUTS, "cohort header must be entity,n_p,h")
 
 
 def parse_record(path):
     """Read a record file (JSON or CSV, by its suffix) and return a validated
     CitationRecord."""
+    path = Path(path)
+    suffix = path.suffix.lower()
+    if suffix not in (".json", ".csv"):
+        raise RecordParseError(f"{path}: cannot infer format from suffix {suffix!r}")
     # Cyclic garbage collection is paused while the record is built: parsing
     # makes many small acyclic, immutable objects, which collection passes
     # over the growing heap would only rescan.  For the same reason they then
@@ -732,20 +752,16 @@ def parse_record(path):
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _read_record(Path(path))
+        if suffix == ".json":
+            return _read_input(path, _parse_json)
+        pubs = _read_csv(path, _RECORD_CSV_LAYOUTS, "unrecognized CSV header {!r}")
+        return validate_record(CitationRecord(entity=path.stem, publications=tuple(pubs)))
     finally:
         if gc_was_enabled:
             if not gc.get_freeze_count():
                 gc.freeze()
                 gc.unfreeze()
             gc.enable()
-
-
-def _read_record(path):
-    suffix = path.suffix.lower()
-    if suffix not in (".json", ".csv"):
-        raise RecordParseError(f"{path}: cannot infer format from suffix {suffix!r}")
-    return _read_input(path, _parse_csv if suffix == ".csv" else _parse_json)
 
 
 def _parse_json(path):

@@ -13,39 +13,33 @@ from . import coauthor, core, temporal
 from .errors import DomainError
 from .records import UNAVAILABLE_ERRORS, CitationVector, prepare
 
-REPORT_INDEX_KEYS = (
-    "h", "g", "a", "r", "h_w", "h2", "w", "maxprod", "f", "t",
-    "r_m", "h_core_cv", "r_m_cv", "h_alpha",
-    "h_contemporary", "h_trend", "h_norm_output", "ar", "m_quotient",
-    "h_i_mean", "h_i_median", "h_pure", "h_m_schreiber",
-)
-
 _ONE_DECIMAL = {"a", "r", "h_w"}
 _TWO_DECIMALS = {"r_m", "h_core_cv", "r_m_cv"}
 
 _COMPUTERS = {
-    "h": lambda view: core.h_index(view.part("vector")),
-    "g": lambda view: core.g_index(view.part("vector"), view.config.g_convention),
-    "a": lambda view: core.a_index(view.part("vector")),
-    "r": lambda view: core.r_index(view.part("vector")),
-    "h_w": lambda view: core.hw_index(view.part("vector")),
-    "h2": lambda view: core.h2_index(view.part("vector")),
-    "w": lambda view: core.w_index(view.part("vector")),
-    "maxprod": lambda view: core.maxprod(view.part("vector")),
-    "f": lambda view: core.f_index(view.part("vector")),
-    "t": lambda view: core.t_index(view.part("vector")),
-    "r_m": lambda view: core.rm_index(view.part("vector")),
-    "h_core_cv": lambda view: core.h_core_cv(view.part("vector")),
-    "r_m_cv": lambda view: core.rmcv_index(view.part("vector")),
+    "h": lambda view: core.h_index(view.vector),
+    "g": lambda view: core.g_index(view.vector, view.config.g_convention),
+    "a": lambda view: core.a_index(view.vector),
+    "r": lambda view: core.r_index(view.vector),
+    "h_w": lambda view: core.hw_index(view.vector),
+    "h2": lambda view: core.h2_index(view.vector),
+    "w": lambda view: core.w_index(view.vector),
+    "maxprod": lambda view: core.maxprod(view.vector),
+    "f": lambda view: core.f_index(view.vector),
+    "t": lambda view: core.t_index(view.vector),
+    "r_m": lambda view: core.rm_index(view.vector),
+    "h_core_cv": lambda view: core.h_core_cv(view.vector),
+    "r_m_cv": lambda view: core.rmcv_index(view.vector),
     "h_alpha": lambda view: core.h_alpha_predict(
-        core.h_index(view.part("vector")), sum(view.part("vector").counts),
+        core.h_index(view.vector), sum(view.vector.counts),
         view.config.alpha_predictive),
     **temporal.VIEW_INDICES,
-    "h_i_mean": lambda view: coauthor.hi_index(view.part("authored"), "mean"),
-    "h_i_median": lambda view: coauthor.hi_index(view.part("authored"), "median"),
-    "h_pure": lambda view: coauthor.pure_h(view.part("authored")),
-    "h_m_schreiber": lambda view: coauthor.schreiber_hm(view.part("authored")),
+    "h_i_mean": lambda view: coauthor.hi_index(view.authored, "mean"),
+    "h_i_median": lambda view: coauthor.hi_index(view.authored, "median"),
+    "h_pure": lambda view: coauthor.pure_h(view.authored),
+    "h_m_schreiber": lambda view: coauthor.schreiber_hm(view.authored),
 }
+REPORT_INDEX_KEYS = tuple(_COMPUTERS)
 
 
 @dataclass(frozen=True)
@@ -76,7 +70,7 @@ def select_indices(selection):
 
 def _config_echo(view):
     try:
-        now = view.part("now_year")
+        now = view.now_year
     except DomainError:
         now = view.config.now_year
     return {**asdict(view.config), "now_year": now}
@@ -98,7 +92,7 @@ def compute_report(record, config=None, indices=None, strict=False):
                 raise
             unavailable[key] = str(exc)
     try:
-        vector = view.part("vector")
+        vector = view.vector
     except UNAVAILABLE_ERRORS:
         vector = None
     return IndexReport(entity=record.entity, kind=record.kind,

@@ -61,8 +61,8 @@ def require_publications(record):
 # filter error is the one they report.
 
 def _contemporary(view):
-    pubs = view.part("filtered").publications
-    config, now = view.config, view.part("now_year")
+    pubs = view.filtered.publications
+    config, now = view.config, view.now_year
     return _score_h([
         config.gamma * (now - pub.year + 1) ** (-config.delta)
         * pub.citations() for pub in pubs])
@@ -75,29 +75,29 @@ def _trend_score(pub, now, config):
 
 
 def _trend(view):
-    pubs = view.part("filtered").publications
-    config, now = view.config, view.part("now_year")
+    pubs = view.filtered.publications
+    config, now = view.config, view.now_year
     return _score_h([_trend_score(pub, now, config) for pub in pubs])
 
 
 def _normalized(view):
     n_p = len(require_publications(view.record))
-    return h_index(view.part("vector")) / n_p
+    return h_index(view.vector) / n_p
 
 
 def _age_weighted(view):
-    h = h_index(view.part("vector"))
+    h = h_index(view.vector)
     if h == 0:
         return 0.0
-    now = view.part("now_year")
+    now = view.now_year
     return sqrt(sum(pub.citations() / (now - pub.year + 1)
-                    for pub in view.part("ranked")[:h]))
+                    for pub in view.ranked[:h]))
 
 
 def _per_career_year(view):
     first = min(p.year for p in require_publications(view.record))
-    h = h_index(view.part("vector"))
-    return h / (view.part("now_year") - first + 1)
+    h = h_index(view.vector)
+    return h / (view.now_year - first + 1)
 
 
 VIEW_INDICES = {"h_contemporary": _contemporary, "h_trend": _trend,
@@ -148,8 +148,8 @@ def h_sequence(record, config=None, truncate_events_to_now=False):
     grows, rises while more than h counts exceed h."""
     require_publications(record)
     view = prepare(record, config)
-    pubs = view.part("filtered").publications
-    cutoff = view.part("now_year") if truncate_events_to_now else None
+    pubs = view.filtered.publications
+    cutoff = view.now_year if truncate_events_to_now else None
     dated = sorted(((p.year, _windowed_count(p, cutoff)) for p in pubs), reverse=True)
     last, first = dated[0][0], dated[-1][0]
     if last - first + 1 > MAX_SEQUENCE_WINDOWS:

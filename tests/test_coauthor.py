@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -239,3 +240,17 @@ def test_schreiber_can_fall_when_a_bump_reorders_the_ranking():
 def test_pure_h_at_least_mean_variant(pairs):
     # dividing by sqrt of the mean author count can only exceed dividing by it
     assert pure_h(pairs) >= hi_index(pairs, "mean") - 1e-12
+
+
+@pytest.mark.parametrize("pairs, want", [
+    # 4,000 distinct author counts near 10**9 in an h-core of counts 2**62:
+    # the effective rank is summed once, as a tree, over their denominators.
+    ([(2 ** 62, 10 ** 9 + i) for i in range(4_000)],
+     math.fsum(1 / (10 ** 9 + i) for i in range(4_000))),
+    # 50,000 equal 3-author papers, then 50,000 more past h that each fit.
+    ([(2 ** 62, 3)] * 50_000 + [(40_000, 3)] * 50_000, 100_000 / 3),
+], ids=["distinct-author-counts", "equal-author-counts-past-h"])
+def test_schreiber_hm_huge_shapes_take_well_under_a_second(pairs, want):
+    started = time.perf_counter()
+    assert schreiber_hm(pairs) == pytest.approx(want, rel=1e-12)
+    assert time.perf_counter() - started < 1.0

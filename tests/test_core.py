@@ -167,6 +167,16 @@ def test_f_and_t_pass_the_h_core_without_arithmetic(tail, f, t):
         assert time.perf_counter() - started < 1.0
 
 
+def test_f_and_t_pass_distinct_huge_counts_without_arithmetic():
+    # 50,000 distinct odd counts near 2**62 all lie in the h-core, so no rank
+    # needs a product or a reciprocal sum of those counts.
+    counts = [2 ** 62 + 2 * i + 1 for i in range(50_000)]
+    for index in (f_index, t_index):
+        started = time.perf_counter()
+        assert index(counts) == 50_000
+        assert time.perf_counter() - started < 1.0
+
+
 def test_rm_single():
     assert rm_index([1]) == 1
 

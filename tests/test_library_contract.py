@@ -23,8 +23,15 @@ _NUMBER = st.one_of(
     st.integers(min_value=0, max_value=60),
     st.sampled_from([-3, -1, True, False, 0.5, 2.5, math.nan, math.inf, -math.inf,
                      2 ** 63 - 1, 2 ** 63, 10 ** 400]))
-_COUNTS = st.lists(_NUMBER, max_size=8)
-_PAIRS = st.lists(st.tuples(_NUMBER, _NUMBER), max_size=8)
+# Up to 2,000 counts near 2**63, equal when the stride is 0 and distinct
+# otherwise, then a few numbers of any kind.
+_LONG = st.builds(lambda n, stride, tail: [2 ** 63 - 1 - stride * i for i in range(n)] + tail,
+                  st.integers(0, 2_000), st.integers(0, 2 ** 40), st.lists(_NUMBER, max_size=4))
+_COUNTS = st.lists(_NUMBER, max_size=8) | _LONG
+# The long counts, each with an author count: all equal, or distinct near 10**9.
+_PAIRS = st.lists(st.tuples(_NUMBER, _NUMBER), max_size=8) | st.builds(
+    lambda counts, first, stride: [(c, first + stride * i) for i, c in enumerate(counts)],
+    _LONG, st.sampled_from([1, 3, 10 ** 9]), st.integers(0, 1))
 _SHARES = st.none() | st.lists(_NUMBER | st.floats(min_value=0.01, max_value=1.0),
                                max_size=8)
 

@@ -381,12 +381,16 @@ _COUNTS_HEADER = "id,year,author_count,citation_count\n"
     (_EVENTS_HEADER + "p1, ,2,2001,\n", 2, "missing value for 'pub_year'"),
     (_COUNTS_HEADER + "p1,2000,1\n", 2, "wrong number of columns"),
     (_COUNTS_HEADER + "p1,2000,1,3\n\np2,2000,1,\n", 3, "missing value for 'citation_count'"),
+    ("", 1, "unrecognized CSV header None"),
+    ("\ufeff" + _COUNTS_HEADER + "p1,2000,1,3\n", 1,
+     "unrecognized CSV header ['\\ufeffid', 'year', 'author_count', 'citation_count']"),
+    ("entity,n_p,h\na,10,3\n", 1, "unrecognized CSV header ['entity', 'n_p', 'h']"),
 ], ids=["short-row", "long-row", "blank-line-before-bad-row", "repeated-pub-year",
         "repeated-author-count", "repeated-bad-pub-year", "bad-cite-year", "blank-pub-year",
-        "counts-short-row", "counts-blank-line"])
+        "counts-short-row", "counts-blank-line", "empty-file", "bom-header", "cohort-header"])
 def test_csv_parse_messages_are_pinned(tmp_path, body, line, message):
     path = tmp_path / "rec.csv"
-    path.write_text(body)
+    path.write_text(body, encoding="utf-8")
     with pytest.raises(RecordParseError) as exc:
         parse_record(path)
     assert str(exc.value) == f"{path}: line {line}: {message}"

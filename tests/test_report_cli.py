@@ -256,12 +256,12 @@ def test_a_failing_view_part_is_not_kept():
     messages = set()
     for name in ("filtered", "vector", "authored", "vector"):
         with pytest.raises(FidelityError) as exc:
-            view.part(name)
+            getattr(view, name)
         messages.add(str(exc.value))
     assert messages == {"publication 'p1' has no citation events; "
                         "self-citation filtering needs event-level data"}
-    assert view.part("now_year") == 2004
-    assert view.parts == {"now_year": 2004}
+    assert view.now_year == 2004
+    assert vars(view) == {"record": _COUNTS_ONLY, "config": _OWN, "now_year": 2004}
 
 
 def test_format_value_rules():
@@ -585,6 +585,23 @@ def test_status_rejects_a_row_with_extra_columns(capsys, tmp_path):
     code, out, err = _run(capsys, ["status", "--input", str(path)])
     assert (code, out) == (3, "")
     assert err == f"error: {path}: line 3: wrong number of columns\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("entity,n_p,h\na,10\n", 2, "wrong number of columns"),
+    ("entity,n_p,h\na,10,3\n\n\nb,2x,9\n", 3, "field 'n_p' is not an integer: '2x'"),
+    ("", 1, "cohort header must be entity,n_p,h"),
+    ("\ufeffentity,n_p,h\na,10,3\n", 1, "cohort header must be entity,n_p,h"),
+    ("id,year,author_count,citation_count\np,2000,1,3\n", 1,
+     "cohort header must be entity,n_p,h"),
+], ids=["short-row", "blank-lines-before-bad-row", "empty-file", "bom-header", "record-header"])
+def test_status_csv_messages_are_pinned(capsys, tmp_path, text, line, message):
+    # A cohort file is read by the rules of a record CSV file; a long row is
+    # pinned by test_status_rejects_a_row_with_extra_columns.
+    path = tmp_path / "cohort.csv"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, ["status", "--input", str(path)])
+    assert (code, out, err) == (3, "", f"error: {path}: line {line}: {message}\n")
 
 
 def test_emit_plot(capsys, tmp_path, equal_h_paths):
