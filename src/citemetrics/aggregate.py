@@ -250,7 +250,8 @@ def burrell_simulate(config):
                                      size=length - year + 1)
                 years = np.repeat(np.arange(year, length + 1), counts).tolist()
                 pubs.append(Publication(id=f"p{serial:04d}", year=year,
-                                        event_years=tuple(years)))
+                                        event_years=tuple(years),
+                                        event_citers=((),) * len(years)))
         record = CitationRecord(entity=f"career-{career_id:04d}",
                                 publications=tuple(pubs))
         vector = citation_vector(record)

@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from pathlib import Path
 
 from .errors import (DomainError, FidelityError, RecordParseError,
@@ -83,16 +83,13 @@ class CitationEvent:
     citing_authors: tuple = ()
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Publication:
     """One publication.  Its citation events are stored as two parallel
     columns, event_years (ints) and event_citers (one tuple of citing-author
     names per event), both None for a counts-only publication.  The
     citation_events property builds CitationEvents from the columns on each
-    access.  A citation_events argument sets the columns and wins over
-    event_years/event_citers, so dataclasses.replace(pub,
-    citation_events=...) replaces the events; event_citers defaults to no
-    citing authors for every event."""
+    access."""
 
     id: str
     year: int
@@ -101,22 +98,6 @@ class Publication:
     citation_count: int | None = None
     event_years: tuple | None = None
     event_citers: tuple | None = None
-
-    def __init__(self, id, year, authors=(), author_count=None, citation_count=None,
-                 citation_events=None, event_years=None, event_citers=None):
-        if citation_events is not None:
-            event_years = tuple(e.year for e in citation_events)
-            event_citers = tuple(e.citing_authors for e in citation_events)
-        elif event_years is not None and event_citers is None:
-            event_citers = ((),) * len(event_years)
-        set_field = object.__setattr__  # the class is frozen
-        set_field(self, "id", id)
-        set_field(self, "year", year)
-        set_field(self, "authors", authors)
-        set_field(self, "author_count", author_count)
-        set_field(self, "citation_count", citation_count)
-        set_field(self, "event_years", event_years)
-        set_field(self, "event_citers", event_citers)
 
     @property
     def citation_events(self):
@@ -185,8 +166,12 @@ class IndexConfig:
         for name in ("alpha_predictive", "beta_molinari"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.now_year is not None and not INT64_MIN <= self.now_year <= INT64_MAX:
-            raise ValueError("now_year must be a signed 64-bit integer")
+        if self.now_year is not None:
+            try:
+                now_year = _plain_count(self.now_year, INT64_MIN, "now_year")
+            except ValueError:
+                raise ValueError("now_year must be a signed 64-bit integer") from None
+            object.__setattr__(self, "now_year", now_year)  # a plain int; the class is frozen
 
 
 @dataclass(frozen=True)
@@ -231,6 +216,10 @@ def validate_record(record):
             raise RecordValidationError(
                 f"publication {pub.id!r}: citation_count must be non-negative")
         if years is not None:
+            if pub.event_citers is None:
+                raise RecordValidationError(
+                    f"publication {pub.id!r}: {len(years)} event years but no "
+                    "citing-author lists")
             if len(pub.event_citers) != len(years):
                 raise RecordValidationError(
                     f"publication {pub.id!r}: {len(years)} event years but "
@@ -300,19 +289,17 @@ def filter_self_citations(record, mode="include"):
     pubs = record.publications
     for pub in pubs:
         require_events(pub, "self-citation filtering")
-    # Each publication is decided on its own: the distinct citing spellings
-    # of its events are normalized once, and an event is a self-citation
-    # when it names one whose identity is blocked for this publication.
+    # Each publication is decided on its own: an event is a self-citation
+    # when one of its citing names normalizes to an identity blocked for
+    # this publication.
     new_pubs = []
     for pub in pubs:
         blocked = {owner} if mode == "exclude_own" else {
             owner, *map(normalize_author, pub.authors)}
-        citers = set(chain.from_iterable(pub.event_citers))
-        hits = set(compress(citers, map(blocked.__contains__, map(normalize_author, citers))))
-        if not hits:
+        keep = [blocked.isdisjoint(map(normalize_author, citers)) for citers in pub.event_citers]
+        if all(keep):
             new_pubs.append(pub)
             continue
-        keep = list(map(hits.isdisjoint, pub.event_citers))
         years = tuple(compress(pub.event_years, keep))
         new_pubs.append(Publication(
             id=pub.id, year=pub.year, authors=pub.authors, author_count=pub.author_count,
@@ -467,8 +454,7 @@ def _publication(raw, source, i, share):
             years, citers = _event_columns(raw["citation_events"], source, i, share)
         year = raw["year"]
         return Publication(raw["id"], share(year, year), tuple(map(share, authors, authors)),
-                           raw.get("author_count"), raw.get("citation_count"),
-                           event_years=years, event_citers=citers)
+                           raw.get("author_count"), raw.get("citation_count"), years, citers)
     raise RecordParseError(f"{source}: publications[{i}]: {problem}")
 
 

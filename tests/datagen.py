@@ -4,7 +4,7 @@ import random
 
 from hypothesis import strategies as st
 
-from citemetrics import CitationEvent, CitationRecord, Publication
+from citemetrics import CitationRecord, Publication
 
 # Spellings that normalise to four identities, so owners, co-authors and
 # citing authors overlap in every combination.  They differ by surrounding
@@ -39,11 +39,10 @@ def random_event_record(rnd, entity="R", single_year=None):
     for i in range(n_pubs):
         year = single_year if single_year is not None else rnd.randint(2000, 2010)
         n_events = rnd.randint(0, 12)
-        events = tuple(
-            CitationEvent(year=(single_year if single_year is not None
-                                else rnd.randint(year, 2012)))
-            for _ in range(n_events))
-        pubs.append(Publication(id=f"p{i:03d}", year=year, citation_events=events))
+        years = tuple(single_year if single_year is not None else rnd.randint(year, 2012)
+                      for _ in range(n_events))
+        pubs.append(Publication(id=f"p{i:03d}", year=year, event_years=years,
+                                event_citers=((),) * n_events))
     return CitationRecord(entity=entity, publications=tuple(pubs))
 
 
@@ -66,7 +65,8 @@ def event_record(owner, pubs):
     """The record of event_publications() data, publications p0, p1, ..."""
     return CitationRecord(entity="R", owner_name=owner, publications=tuple(
         Publication(id=f"p{i}", year=year, authors=authors,
-                    citation_events=tuple(CitationEvent(*event) for event in events))
+                    event_years=tuple(y for y, _ in events),
+                    event_citers=tuple(citers for _, citers in events))
         for i, (year, authors, events) in enumerate(pubs)))
 
 

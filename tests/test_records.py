@@ -148,8 +148,7 @@ def test_unrecognized_csv_header(tmp_path):
 def test_round_trip_json(tmp_path):
     record = _rec(
         Publication(id="p1", year=2000, authors=("X", "Y"), citation_count=2,
-                    citation_events=(CitationEvent(2001, ("Z",)),
-                                     CitationEvent(2002))),
+                    event_years=(2001, 2002), event_citers=(("Z",), ())),
         Publication(id="p2", year=2001, author_count=3, citation_count=0),
         owner="X")
     path = tmp_path / "rt.json"
@@ -169,7 +168,7 @@ def test_duplicate_ids_rejected():
 def test_event_before_publication_rejected():
     with pytest.raises(RecordValidationError, match="precedes"):
         validate_record(_rec(Publication(
-            id="p", year=2005, citation_events=(CitationEvent(2004),))))
+            id="p", year=2005, event_years=(2004,), event_citers=((),))))
 
 
 def test_publication_without_citation_data_rejected():
@@ -211,9 +210,8 @@ def test_vector_permutation_invariant(counts):
 
 def test_vector_applies_self_citation_filter():
     owner = "Olive Owner"
-    events = tuple(CitationEvent(2001, (owner,)) for _ in range(2)) + tuple(
-        CitationEvent(2001, ("Someone Else",)) for _ in range(5))
-    record = _rec(Publication(id="p", year=2000, citation_events=events),
+    record = _rec(Publication(id="p", year=2000, event_years=(2001,) * 7,
+                              event_citers=((owner,),) * 2 + (("Someone Else",),) * 5),
                   owner=owner)
     config = IndexConfig(self_citation_mode="exclude_own")
     assert citation_vector(record, config).counts == (5,)
@@ -224,10 +222,8 @@ def test_vector_applies_self_citation_filter():
 # Self-citation filtering
 
 def _xy_paper_record(owner=None):
-    events = (CitationEvent(2001, ("X",)), CitationEvent(2001, ("Z",)),
-              CitationEvent(2001, ("Y",)))
-    return _rec(Publication(id="p", year=2000, authors=("X", "Y"),
-                            citation_events=events), owner=owner)
+    return _rec(Publication(id="p", year=2000, authors=("X", "Y"), event_years=(2001,) * 3,
+                            event_citers=(("X",), ("Z",), ("Y",))), owner=owner)
 
 
 def test_filter_include_is_identity():
@@ -246,8 +242,8 @@ def test_filter_exclude_own():
 
 
 def test_filter_matching_ignores_case_and_whitespace():
-    record = _rec(Publication(id="p", year=2000,
-                              citation_events=(CitationEvent(2001, ("  olive OWNER ",)),)),
+    record = _rec(Publication(id="p", year=2000, event_years=(2001,),
+                              event_citers=(("  olive OWNER ",),)),
                   owner="Olive Owner")
     filtered = filter_self_citations(record, "exclude_own")
     assert filtered.publications[0].citations() == 0
@@ -267,9 +263,9 @@ def test_exclude_own_requires_owner():
 @given(st.lists(st.lists(st.sampled_from(["X", "Y", "Z", "W"]), max_size=3),
                 max_size=15))
 def test_exclude_coauthor_removes_superset_of_exclude_own(citing_lists):
-    events = tuple(CitationEvent(2001, tuple(c)) for c in citing_lists)
     record = _rec(Publication(id="p", year=2000, authors=("X", "Y"),
-                              citation_events=events), owner="X")
+                              event_years=(2001,) * len(citing_lists),
+                              event_citers=tuple(map(tuple, citing_lists))), owner="X")
     n_inc = filter_self_citations(record, "include").publications[0].citations()
     n_own = filter_self_citations(record, "exclude_own").publications[0].citations()
     n_co = filter_self_citations(record, "exclude_coauthor").publications[0].citations()
@@ -315,8 +311,7 @@ def test_totals_scientist_g(equal_h_records):
 
 
 def test_now_year_defaults_to_latest_anywhere():
-    record = _rec(Publication(id="p", year=2000,
-                              citation_events=(CitationEvent(2009),)))
+    record = _rec(Publication(id="p", year=2000, event_years=(2009,), event_citers=((),)))
     assert resolve_now_year(record) == 2009
     assert resolve_now_year(record, IndexConfig(now_year=2012)) == 2012
 
@@ -339,8 +334,8 @@ records_strategy = st.builds(
                         authors=tuple(authors),
                         author_count=(len(authors) + extra) if (authors or extra) else None,
                         citation_count=len(events) if with_count else None,
-                        citation_events=tuple(CitationEvent(2000 + o, tuple(cits))
-                                              for o, cits in events))
+                        event_years=tuple(2000 + o for o, _ in events),
+                        event_citers=tuple(tuple(cits) for _, cits in events))
             for i, (authors, extra, with_count, events) in enumerate(pubs))),
     st.lists(st.tuples(st.lists(st.sampled_from(["A", "B"]), max_size=2),
                        st.integers(min_value=0, max_value=2),
@@ -401,9 +396,9 @@ def test_events_csv_repeats_compare_parsed_values(tmp_path):
     path.write_text(_EVENTS_HEADER + "p1,2000,2,2001, A ;;B\n p1 , 2000,02, 2002 ,\n"
                     "p2,2001,,,\n")
     p1, p2 = parse_record(path).publications
-    assert p1 == Publication(id="p1", year=2000, author_count=2, citation_events=(
-        CitationEvent(2001, ("A", "B")), CitationEvent(2002)))
-    assert p2 == Publication(id="p2", year=2001, citation_events=())
+    assert p1 == Publication(id="p1", year=2000, author_count=2, event_years=(2001, 2002),
+                             event_citers=(("A", "B"), ()))
+    assert p2 == Publication(id="p2", year=2001, event_years=(), event_citers=())
 
 
 @pytest.mark.parametrize("event, message", [
@@ -445,8 +440,7 @@ def test_json_events_accept_subclasses_in_memory():
     ((2001, 2 ** 63, 1999), "citation event year does not fit in a signed 64-bit integer"),
 ])
 def test_first_failing_event_is_named(years, message):
-    pub = Publication(id="p", year=2000,
-                      citation_events=tuple(CitationEvent(y) for y in years))
+    pub = Publication(id="p", year=2000, event_years=years, event_citers=((),) * len(years))
     with pytest.raises(RecordValidationError) as exc:
         validate_record(_rec(pub))
     assert str(exc.value) == f"publication 'p': {message}"
@@ -457,6 +451,32 @@ def test_event_columns_of_different_lengths_are_rejected():
     with pytest.raises(RecordValidationError) as exc:
         validate_record(_rec(pub))
     assert str(exc.value) == "publication 'p': 2 event years but 1 citing-author lists"
+
+
+def test_event_years_without_event_citers_are_rejected():
+    pub = Publication(id="p", year=2000, event_years=(2001, 2002))
+    with pytest.raises(RecordValidationError) as exc:
+        validate_record(_rec(pub))
+    assert str(exc.value) == "publication 'p': 2 event years but no citing-author lists"
+
+
+@pytest.mark.parametrize("now_year", [2010.5, "2010", True, 2 ** 63, -2 ** 63 - 1],
+                         ids=["float", "str", "bool", "above-int64", "below-int64"])
+def test_now_year_must_be_a_plain_int64(now_year):
+    with pytest.raises(ValueError, match="^now_year must be a signed 64-bit integer$"):
+        IndexConfig(now_year=now_year)
+
+
+def test_now_year_is_stored_as_a_plain_int():
+    import numpy as np
+    from citemetrics.report import compute_report, render_json, report_to_jsonable
+    config = IndexConfig(now_year=np.int64(2010))
+    assert type(config.now_year) is int and config.now_year == 2010
+    report = compute_report(_rec(Publication(id="p", year=2000, citation_count=3)), config,
+                            indices=["h"])
+    assert json.loads(render_json(report_to_jsonable(report)))["config"]["now_year"] == 2010
+    for edge in (-2 ** 63, 2 ** 63 - 1):
+        assert IndexConfig(now_year=edge).now_year == edge
 
 
 @pytest.mark.parametrize("call, message", [
@@ -490,44 +510,48 @@ _round_trip_pubs = st.lists(
 def test_write_parse_round_trips_in_every_layout(tmp_path_factory, ids, pubs, owner):
     pubs = [(pid, year, tuple(authors),
              None if extra is None else len(authors) + max(extra, 1 - len(authors)),
-             tuple(CitationEvent(year + offset, tuple(citing)) for offset, citing in events))
+             tuple(year + offset for offset, _ in events),
+             tuple(tuple(citing) for _, citing in events))
             for pid, (year, authors, extra, events) in zip(ids, pubs)]
     out = tmp_path_factory.mktemp("round_trip")
 
     record = CitationRecord(entity="E", kind="journal", owner_name=owner, publications=tuple(
         Publication(id=pid, year=year, authors=authors, author_count=count,
-                    citation_count=len(events) if count else None, citation_events=events)
-        for pid, year, authors, count, events in pubs))
+                    citation_count=len(years) if count else None, event_years=years,
+                    event_citers=citers)
+        for pid, year, authors, count, years, citers in pubs))
     write_record(record, out / "E.json")
     assert parse_record(out / "E.json") == record
 
     with open(out / "events.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_EVENTS_HEADER.strip().split(","))
-        for pid, year, _, count, events in pubs:
-            writer.writerows([pid, year, count, e.year, ";".join(e.citing_authors)]
-                             for e in events)
-            if not events:
+        for pid, year, _, count, years, citers in pubs:
+            writer.writerows([pid, year, count, cite_year, ";".join(citing)]
+                             for cite_year, citing in zip(years, citers))
+            if not years:
                 writer.writerow([pid, year, count, "", ""])
     assert parse_record(out / "events.csv") == _rec(*(
-        Publication(id=pid, year=year, author_count=count, citation_events=events)
-        for pid, year, _, count, events in pubs), entity="events")
+        Publication(id=pid, year=year, author_count=count, event_years=years,
+                    event_citers=citers)
+        for pid, year, _, count, years, citers in pubs), entity="events")
 
     with open(out / "counts.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_COUNTS_HEADER.strip().split(","))
-        writer.writerows([pid, year, count, len(events)] for pid, year, _, count, events in pubs)
+        writer.writerows([pid, year, count, len(years)] for pid, year, _, count, years, _ in pubs)
     assert parse_record(out / "counts.csv") == _rec(*(
-        Publication(id=pid, year=year, author_count=count, citation_count=len(events))
-        for pid, year, _, count, events in pubs), entity="counts")
+        Publication(id=pid, year=year, author_count=count, citation_count=len(years))
+        for pid, year, _, count, years, _ in pubs), entity="counts")
 
 
 def test_record_model_is_slotted_and_frozen():
     event = CitationEvent(2001, ("A",))
-    pub = Publication(id="p", year=2000, authors=("A",), citation_events=(event,))
+    pub = Publication(id="p", year=2000, authors=("A",), event_years=(2001,),
+                      event_citers=(("A",),))
     for obj, twin in ((event, CitationEvent(2001, ("A",))),
-                      (pub, Publication(id="p", year=2000, authors=("A",),
-                                        citation_events=(CitationEvent(2001, ("A",)),)))):
+                      (pub, Publication(id="p", year=2000, authors=("A",), event_years=(2001,),
+                                        event_citers=(("A",),)))):
         assert not hasattr(obj, "__dict__")
         assert obj == twin and hash(obj) == hash(twin) and len({obj, twin}) == 1
         assert pickle.loads(pickle.dumps(obj)) == obj
@@ -539,8 +563,24 @@ def test_record_model_is_slotted_and_frozen():
             obj.note = "x"
     assert dataclasses.replace(event, year=2002) == CitationEvent(2002, ("A",))
     moved = dataclasses.replace(pub, year=1999)
-    assert (moved.year, moved.citation_events, pub.year) == (1999, (event,), 2000)
+    assert (moved.year, moved.event_years, moved.event_citers, pub.year) == (
+        1999, (2001,), (("A",),), 2000)
+    assert moved.citation_events == (event,)
     assert CitationEvent(2001, ("A",)) != CitationEvent(2001)
+
+
+def test_publication_is_built_by_its_fields_alone():
+    assert [f.name for f in dataclasses.fields(Publication)] == [
+        "id", "year", "authors", "author_count", "citation_count", "event_years",
+        "event_citers"]
+    pub = Publication("p", 2000, ("A",), 2, 1, (2001,), (("B",),))
+    assert pub == Publication(id="p", year=2000, authors=("A",), author_count=2,
+                              citation_count=1, event_years=(2001,), event_citers=(("B",),))
+    assert pub.citation_events == (CitationEvent(2001, ("B",)),)
+    with pytest.raises(TypeError):
+        Publication(id="p", year=2000, citation_events=(CitationEvent(2001),))
+    with pytest.raises(TypeError):
+        dataclasses.replace(pub, citation_events=())
 
 
 @given(st.none() | st.sampled_from(AUTHOR_NAMES), event_publications())
@@ -557,8 +597,9 @@ def test_columnar_publications_behave_like_event_lists(owner, pubs):
         moved = dataclasses.replace(pub, year=pub.year - 1)
         assert (moved.year, moved.event_years, moved.event_citers) == (
             pub.year - 1, pub.event_years, pub.event_citers)
-        first = pub.citation_events[:1]
-        assert dataclasses.replace(pub, citation_events=first).citation_events == first
+        first = dataclasses.replace(pub, event_years=pub.event_years[:1],
+                                    event_citers=pub.event_citers[:1])
+        assert first.citation_events == pub.citation_events[:1]
     for mode in ("exclude_own", "exclude_coauthor")[owner is None:]:
         filtered = filter_self_citations(parsed, mode)
         kept = [oracle_kept_events(authors, events, owner, mode)
@@ -571,8 +612,9 @@ def test_columnar_publications_behave_like_event_lists(owner, pubs):
 
 
 def test_parsed_objects_skip_the_young_generations(tmp_path):
-    write_record(_rec(*(Publication(id=f"p{i}", year=2000, citation_events=(
-        CitationEvent(2001, ("A",)),)) for i in range(50))), tmp_path / "r.json")
+    write_record(_rec(*(Publication(id=f"p{i}", year=2000, event_years=(2001,),
+                                    event_citers=(("A",),)) for i in range(50))),
+                 tmp_path / "r.json")
     record = parse_record(tmp_path / "r.json")
     young = {id(obj) for generation in (0, 1) for obj in gc.get_objects(generation)}
     assert not any(id(pub) in young for pub in record.publications)

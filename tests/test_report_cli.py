@@ -12,7 +12,7 @@ import weakref
 
 import pytest
 
-from citemetrics import (CitationEvent, CitationRecord, FidelityError,
+from citemetrics import (CitationRecord, FidelityError,
                          IndexConfig, Publication, authored_vector,
                          citation_vector, compute_report, filter_self_citations,
                          parse_record, record_to_dict, write_record)
@@ -74,8 +74,8 @@ def filter_calls(monkeypatch):
 
 _OWNED = CitationRecord(entity="X", owner_name="O. Wner", publications=tuple(
     Publication(id=f"p{i}", year=2000 + i, authors=("O. Wner", "C. Oauthor"),
-                citation_events=(CitationEvent(2005, ("C. Oauthor",)),
-                                 CitationEvent(2006, ("R. Eader",))) * (i + 1))
+                event_years=(2005, 2006) * (i + 1),
+                event_citers=(("C. Oauthor",), ("R. Eader",)) * (i + 1))
     for i in range(4)))
 
 
@@ -164,8 +164,8 @@ def test_index_functions_read_prepared_vectors_as_they_are(sort_calls):
 
 
 _NO_OWNER = CitationRecord(entity="anon", publications=(
-    Publication(id="p1", year=2000, authors=("A. Author",), citation_events=(
-        CitationEvent(2001, ("A. Author",)), CitationEvent(2003, ("B. Reader",)))),))
+    Publication(id="p1", year=2000, authors=("A. Author",), event_years=(2001, 2003),
+                event_citers=(("A. Author",), ("B. Reader",))),))
 _COUNTS_ONLY = CitationRecord(entity="counts", owner_name="A. Author", publications=(
     Publication(id="p1", year=2000, author_count=2, citation_count=5),
     Publication(id="p2", year=2004, author_count=1, citation_count=3)))
@@ -402,9 +402,8 @@ def test_compare_csv_format(capsys, classified_paths):
 
 def test_self_citations_flag(capsys, tmp_path):
     record = CitationRecord(entity="own", owner_name="Olive Owner", publications=(
-        Publication(id="p", year=2000, citation_events=tuple(
-            [CitationEvent(2001, ("Olive Owner",))] * 2
-            + [CitationEvent(2001, ("Someone Else",))] * 5)),))
+        Publication(id="p", year=2000, event_years=(2001,) * 7,
+                    event_citers=(("Olive Owner",),) * 2 + (("Someone Else",),) * 5),))
     path = tmp_path / "own.json"
     write_record(record, path)
     code, out, _ = _run(capsys, ["compute", "--input", str(path),
@@ -420,10 +419,10 @@ def test_default_now_year_ignores_self_citation_filtering(capsys, tmp_path):
     # The only 2010 event is the owner's own citation.  The echoed now_year
     # is 2010, and the age-weighted keys date the filtered record to it too.
     record = CitationRecord(entity="late_self", owner_name="Olive Owner", publications=(
-        Publication(id="p1", year=2006, citation_events=(
-            CitationEvent(2006, ("Someone Else",)), CitationEvent(2010, ("Olive Owner",)))),
-        Publication(id="p2", year=2006,
-                    citation_events=(CitationEvent(2007, ("Someone Else",)),) * 2)))
+        Publication(id="p1", year=2006, event_years=(2006, 2010),
+                    event_citers=(("Someone Else",), ("Olive Owner",))),
+        Publication(id="p2", year=2006, event_years=(2007,) * 2,
+                    event_citers=(("Someone Else",),) * 2)))
     path = tmp_path / "late_self.json"
     write_record(record, path)
     argv = ["compute", "--input", str(path), "--self-citations", "exclude-own",
@@ -1072,8 +1071,8 @@ def test_csv_integers_keep_their_sign_and_surrounding_whitespace(tmp_path):
     events = tmp_path / "events.csv"
     events.write_text(_EVENTS_CSV + "p, +2001 ,\t1 , 2005\t,\nq,-5,,,\n")
     assert parse_record(events).publications == (
-        Publication(id="p", year=2001, author_count=1, citation_events=(CitationEvent(2005),)),
-        Publication(id="q", year=-5, citation_events=()))
+        Publication(id="p", year=2001, author_count=1, event_years=(2005,), event_citers=((),)),
+        Publication(id="q", year=-5, event_years=(), event_citers=()))
     counts = tmp_path / "counts.csv"
     counts.write_text(_COUNTS_CSV + "p, -0 , 2,+3\n")
     assert parse_record(counts).publications == (

@@ -15,7 +15,7 @@ from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from citemetrics import (CitationEvent, CitationRecord, DomainError,
+from citemetrics import (CitationRecord, DomainError,
                          FidelityError, IndexConfig, Publication,
                          UndefinedInputError, authored_vector,
                          citation_vector, coauthor, compute_report, core,
@@ -66,13 +66,14 @@ def publications(draw, index):
         return Publication(id=f"p{index}", year=year, authors=authors,
                            author_count=author_count,
                            citation_count=draw(st.integers(0, 12)))
-    events = tuple(draw(st.lists(st.builds(
-        CitationEvent, st.integers(year, year + 4),
-        st.lists(st.sampled_from(NAMES), max_size=2).map(tuple)), max_size=12)))
+    events = draw(st.lists(st.tuples(
+        st.integers(year, year + 4),
+        st.lists(st.sampled_from(NAMES), max_size=2).map(tuple)), max_size=12))
     count = len(events) if draw(st.booleans()) else None
     return Publication(id=f"p{index}", year=year, authors=authors,
                        author_count=author_count, citation_count=count,
-                       citation_events=events)
+                       event_years=tuple(y for y, _ in events),
+                       event_citers=tuple(c for _, c in events))
 
 
 @st.composite
@@ -150,14 +151,15 @@ def late_self_cited(draw):
     publication after every other year in the record, so that the latest
     year holds only a citation that either exclude mode drops."""
     record = draw(records())
-    events = [p for p in record.publications if p.citation_events is not None]
+    events = [p for p in record.publications if p.event_years is not None]
     if not events or not draw(st.booleans()):
         return record
     owner = record.owner_name or draw(st.sampled_from(NAMES))
-    late = CitationEvent(resolve_now_year(record) + draw(st.integers(1, 3)), (owner,))
+    late = resolve_now_year(record) + draw(st.integers(1, 3))
     pub = draw(st.sampled_from(events))
     count = None if pub.citation_count is None else pub.citation_count + 1
-    cited = replace(pub, citation_events=pub.citation_events + (late,), citation_count=count)
+    cited = replace(pub, event_years=pub.event_years + (late,),
+                    event_citers=pub.event_citers + ((owner,),), citation_count=count)
     return validate_record(replace(record, owner_name=owner, publications=tuple(
         cited if p is pub else p for p in record.publications)))
 

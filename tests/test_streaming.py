@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from citemetrics import CitationEvent, CitationRecord, Publication, cli, write_record
+from citemetrics import CitationRecord, Publication, cli, write_record
 from conftest import FIXTURES, GOLDEN
 
 STREAMING = ["compare", "matrix", "successive", "group"]
@@ -27,16 +27,15 @@ def seeded_cohort(directory, seed=20, size=12):
             year = rnd.randint(1995, 2010)
             authors = (owner, *rnd.sample([n for n in _NAMES if n != owner],
                                           rnd.randint(0, 2)))
-            events = tuple(
-                CitationEvent(rnd.randint(year, 2012),
-                              tuple(rnd.sample(_NAMES, rnd.randint(0, 2))))
-                for _ in range(rnd.randint(0, 15)))
+            events = [(rnd.randint(year, 2012), tuple(rnd.sample(_NAMES, rnd.randint(0, 2))))
+                      for _ in range(rnd.randint(0, 15))]
             if i % 4 == 3:
                 pubs.append(Publication(id=f"p{j:02d}", year=year, authors=authors,
                                         citation_count=len(events)))
             else:
                 pubs.append(Publication(id=f"p{j:02d}", year=year, authors=authors,
-                                        citation_events=events))
+                                        event_years=tuple(y for y, _ in events),
+                                        event_citers=tuple(c for _, c in events)))
         record = CitationRecord(entity=f"M{i:02d}", owner_name=owner,
                                 publications=tuple(pubs))
         path = directory / f"M{i:02d}.json"

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from citemetrics import (CitationEvent, CitationRecord, DomainError,
+from citemetrics import (CitationRecord, DomainError,
                          FidelityError, IndexConfig, Publication,
                          UndefinedInputError, ar_index, citation_vector,
                          contemporary_h, h_index, h_matrix, h_sequence,
@@ -28,8 +28,8 @@ def _counts_pub(pid, year, count):
 
 
 def _events_pub(pid, year, event_years):
-    return Publication(id=pid, year=year,
-                       citation_events=tuple(CitationEvent(y) for y in event_years))
+    return Publication(id=pid, year=year, event_years=tuple(event_years),
+                       event_citers=((),) * len(event_years))
 
 
 def test_contemporary_all_current_year():
