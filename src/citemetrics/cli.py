@@ -218,8 +218,8 @@ def cmd_field(parser, args):
         parser.error("nothing to compute; pass --field-chi, --np/--chi or --nc")
     rows = []
     if args.field_chi is not None:
-        reference = FieldProfile(args.reference_name, args.reference_chi)
-        field = FieldProfile(args.field_name, args.field_chi)
+        reference = FieldProfile("reference", args.reference_chi)
+        field = FieldProfile("field", args.field_chi)
         rows.append(("field_factor", field_factor(reference, field)))
         rows.append(("h_normalized", field_normalized_h(args.h, field, reference)))
     if args.np is not None:
@@ -323,9 +323,7 @@ def build_parser():
     p = sub.add_parser("field", help="field normalization and model estimates")
     p.add_argument("--h", type=_int_flag, default=None)
     p.add_argument("--field-chi", type=float, default=None)
-    p.add_argument("--field-name", default="field")
     p.add_argument("--reference-chi", type=float, default=None)
-    p.add_argument("--reference-name", default="physics")
     p.add_argument("--np", type=_int_flag, default=None)
     p.add_argument("--chi", type=float, default=None)
     p.add_argument("--nc", type=_int_flag, default=None)

@@ -6,14 +6,14 @@ import math
 from collections import Counter
 
 from .core import _add_ratios, _fold, _threshold_rank
-from .records import AuthoredVector, _plain_count, prepare
+from .records import AuthoredVector, PreparedRecord, _plain_count
 
 
 def authored_vector(record, config=None):
     """Build the (citations, authors) vector with the record-model tie rule,
     filtering self-citations first when a config is given.  Every
     publication must expose an author count of at least 1."""
-    return prepare(record, config).authored
+    return PreparedRecord(record, config).authored
 
 
 def _entries(av):

@@ -109,13 +109,6 @@ class Publication:
     def has_events(self):
         return self.event_years is not None
 
-    def effective_author_count(self):
-        if self.author_count is not None:
-            return self.author_count
-        if self.authors:
-            return len(self.authors)
-        return None
-
     def citations(self):
         """Total recorded citations; the event list wins when present."""
         if self.event_years is not None:
@@ -198,6 +191,8 @@ def validate_record(record):
             f"record {record.entity!r}: unknown kind {record.kind!r}")
     seen = set()
     for pub in record.publications:
+        if not isinstance(pub.id, str):
+            raise RecordValidationError(f"publication id {pub.id!r} is not a string")
         if not pub.id.strip():
             raise RecordValidationError(f"publication id {pub.id!r} is blank")
         if pub.id in seen:
@@ -205,7 +200,12 @@ def validate_record(record):
         seen.add(pub.id)
         for name in ("year", "author_count", "citation_count"):
             value = getattr(pub, name)
-            if value is not None and not INT64_MIN <= value <= INT64_MAX:
+            # type(), not isinstance(): no bool, and no numpy int for the JSON renderer
+            if type(value) is not int:
+                if value is None and name != "year":
+                    continue
+                raise RecordValidationError(f"publication {pub.id!r}: {name} must be an integer")
+            if not INT64_MIN <= value <= INT64_MAX:
                 raise RecordValidationError(
                     f"publication {pub.id!r}: {name} does not fit in a signed 64-bit integer")
         years = pub.event_years
@@ -228,6 +228,15 @@ def validate_record(record):
                 raise RecordValidationError(
                     f"publication {pub.id!r}: citation_count {pub.citation_count} "
                     f"does not match {len(years)} citation events")
+            # One sum, not a check per event: a float, a numpy int or a
+            # non-number among the years makes it a non-int or makes it fail.
+            try:
+                plain = type(sum(years)) is int
+            except (TypeError, OverflowError):
+                plain = False
+            if not plain:
+                raise RecordValidationError(
+                    f"publication {pub.id!r}: citation event years must be integers")
             if years and (min(years) < pub.year or max(years) > INT64_MAX):
                 for year in years:  # in order, so the first failing event is named
                     if year > INT64_MAX:  # the year check below bounds it from below
@@ -314,7 +323,7 @@ def citation_vector(record, config=None):
     """Descending citation counts with a fixed tie order (year asc, id asc)
     so reports are reproducible.  Self-citation filtering is applied first,
     when a config is given."""
-    return prepare(record, config).vector
+    return PreparedRecord(record, config).vector
 
 
 def totals(record):
@@ -328,14 +337,15 @@ def totals(record):
 # The prepared view
 
 class PreparedRecord:
-    """A record with the parts the indices read, each built once, when an
-    index first reads it.  A part whose builder raises is not kept: the next
-    index that reads it builds it again and gets the same error, so each
-    index reports what it would report on its own."""
+    """The view every index reads: the record, under config (IndexConfig()
+    when None), with self-citations filtered, publications ranked and
+    now_year resolved, each part built once, when an index first reads it.  A
+    part whose builder raises is not kept: the next index that reads it
+    builds it again and gets the same error, as it would on its own."""
 
-    def __init__(self, record, config):
+    def __init__(self, record, config=None):
         self.record = record
-        self.config = config
+        self.config = config if config is not None else IndexConfig()
 
     @cached_property
     def filtered(self):
@@ -356,8 +366,8 @@ class PreparedRecord:
     def authored(self):
         entries = []
         for pub in self.ranked:
-            n_authors = pub.effective_author_count()
-            if n_authors is None or n_authors < 1:
+            n_authors = pub.author_count if pub.author_count is not None else len(pub.authors)
+            if n_authors < 1:
                 raise FidelityError(
                     f"publication {pub.id!r} has no author count; "
                     "co-authorship indices need one")
@@ -368,13 +378,6 @@ class PreparedRecord:
     def now_year(self):
         # One observation year per record, whatever the self-citation mode.
         return resolve_now_year(self.record, self.config)
-
-
-def prepare(record, config=None):
-    """The view every report index reads: the record with self-citations
-    filtered, publications ranked and now_year resolved (on the record as
-    read), each at most once."""
-    return PreparedRecord(record, config if config is not None else IndexConfig())
 
 
 # ---------------------------------------------------------------------------

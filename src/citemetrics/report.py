@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 from . import coauthor, core, temporal
 from .errors import DomainError
-from .records import UNAVAILABLE_ERRORS, CitationVector, prepare
+from .records import UNAVAILABLE_ERRORS, CitationVector, PreparedRecord
 
 _ONE_DECIMAL = {"a", "r", "h_w"}
 _TWO_DECIMALS = {"r_m", "h_core_cv", "r_m_cv"}
@@ -81,7 +81,7 @@ def compute_report(record, config=None, indices=None, strict=False):
     the affected index unavailable (with the reason) unless strict.  The
     record is filtered, ranked and dated once for all the keys."""
     keys = select_indices(indices)
-    view = prepare(record, config)
+    view = PreparedRecord(record, config)
     values = {}
     unavailable = {}
     for key in keys:

@@ -12,7 +12,7 @@ from math import sqrt
 
 from .core import _score_h, h_index
 from .errors import DomainError, UndefinedInputError
-from .records import prepare, require_events
+from .records import PreparedRecord, require_events
 
 # Most windows h_sequence (and so each h_matrix row) computes: a record whose
 # publication years span more years than this is a DomainError.  Four
@@ -40,14 +40,6 @@ class HMatrix:
     rows: tuple
 
 
-def _event_age(now_year, year):
-    # Only an event can postdate now_year: resolve_now_year rejects a later publication.
-    age = now_year - year + 1
-    if age <= 0:
-        raise DomainError(f"citation event year {year} is after now_year {now_year}")
-    return age
-
-
 def require_publications(record):
     """The record's publications; UndefinedInputError when it has none."""
     if not record.publications:
@@ -55,10 +47,10 @@ def require_publications(record):
     return record.publications
 
 
-# The report keys this module defines, each a function of a records.prepare
-# view.  The stand-alone functions below evaluate through the same view.
-# Keys that score the filtered publications read them before now_year, so a
-# filter error is the one they report.
+# The report keys this module defines, each a function of a
+# records.PreparedRecord view.  The stand-alone functions below evaluate
+# through the same view.  Keys that score the filtered publications read
+# them before now_year, so a filter error is the one they report.
 
 def _contemporary(view):
     pubs = view.filtered.publications
@@ -69,9 +61,12 @@ def _contemporary(view):
 
 
 def _trend_score(pub, now, config):
-    return config.gamma * sum(
-        _event_age(now, year) ** (-config.delta)
-        for year in require_events(pub, "trend scoring"))
+    years = require_events(pub, "trend scoring")
+    # Only an event can postdate now: resolve_now_year rejects a later publication.
+    if years and max(years) > now:
+        year = next(year for year in years if year > now)
+        raise DomainError(f"citation event year {year} is after now_year {now}")
+    return config.gamma * sum((now - year + 1) ** (-config.delta) for year in years)
 
 
 def _trend(view):
@@ -107,27 +102,27 @@ VIEW_INDICES = {"h_contemporary": _contemporary, "h_trend": _trend,
 
 def contemporary_h(record, config=None):
     """h-style scan over per-publication scores gamma * age**(-delta) * citations."""
-    return _contemporary(prepare(record, config))
+    return _contemporary(PreparedRecord(record, config))
 
 
 def trend_h(record, config=None):
     """h-style scan over scores that sum a decayed weight per citation event."""
-    return _trend(prepare(record, config))
+    return _trend(PreparedRecord(record, config))
 
 
 def normalized_h_output(record, config=None):
     """h divided by the number of publications."""
-    return _normalized(prepare(record, config))
+    return _normalized(PreparedRecord(record, config))
 
 
 def ar_index(record, config=None):
     """Age-weighted analogue of R: sqrt of the h-core sum of citations/age."""
-    return _age_weighted(prepare(record, config))
+    return _age_weighted(PreparedRecord(record, config))
 
 
 def m_quotient(record, config=None):
     """h divided by the career length in years (first publication to now)."""
-    return _per_career_year(prepare(record, config))
+    return _per_career_year(PreparedRecord(record, config))
 
 
 def _windowed_count(pub, cutoff):
@@ -147,7 +142,7 @@ def h_sequence(record, config=None, truncate_events_to_now=False):
     publications of its start year, and h, which never falls as a window
     grows, rises while more than h counts exceed h."""
     require_publications(record)
-    view = prepare(record, config)
+    view = PreparedRecord(record, config)
     pubs = view.filtered.publications
     cutoff = view.now_year if truncate_events_to_now else None
     dated = sorted(((p.year, _windowed_count(p, cutoff)) for p in pubs), reverse=True)

@@ -35,6 +35,9 @@ class CohortPoint:
     h: int
 
     def __post_init__(self):
+        # The plain-count type rule, stored as plain ints; ranges are record faults.
+        for name in ("n_p", "h"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.n_p < 0 or self.h < 0:
             raise RecordValidationError(f"{self.entity!r}: counts must be non-negative")
         if self.n_p > INT64_MAX:

@@ -7,6 +7,7 @@ import pickle
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -174,6 +175,37 @@ def test_event_before_publication_rejected():
 def test_publication_without_citation_data_rejected():
     with pytest.raises(RecordValidationError, match="p1"):
         validate_record(_rec(Publication(id="p1", year=2000)))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"year": 2000.0}, "year must be an integer"),
+    ({"year": True}, "year must be an integer"),
+    ({"author_count": 2.0}, "author_count must be an integer"),
+    ({"author_count": True}, "author_count must be an integer"),
+    ({"citation_count": 2.5}, "citation_count must be an integer"),
+    ({"citation_count": True}, "citation_count must be an integer"),
+    ({"citation_count": np.int64(2)}, "citation_count must be an integer"),
+    ({"citation_count": None, "event_years": (2001, 2002.0), "event_citers": ((), ())},
+     "citation event years must be integers"),
+    ({"citation_count": None, "event_years": (2001, np.int64(2002)), "event_citers": ((), ())},
+     "citation event years must be integers"),
+    ({"citation_count": None, "event_years": (2001, "2002"), "event_citers": ((), ())},
+     "citation event years must be integers"),
+], ids=["float-year", "bool-year", "float-author-count", "bool-author-count",
+        "float-citation-count", "bool-citation-count", "numpy-citation-count",
+        "float-event-year", "numpy-event-year", "str-event-year"])
+def test_fields_of_another_type_are_rejected(fields, message):
+    # Unchecked, each would end in a raw TypeError from the indices or the
+    # JSON renderer; the parsers build none of them.
+    pub = dataclasses.replace(Publication(id="p", year=2000, citation_count=2), **fields)
+    with pytest.raises(RecordValidationError) as exc:
+        validate_record(_rec(pub))
+    assert str(exc.value) == f"publication 'p': {message}"
+
+
+def test_a_publication_id_must_be_a_string():
+    with pytest.raises(RecordValidationError, match="^publication id 7 is not a string$"):
+        validate_record(_rec(Publication(id=7, year=2000, citation_count=1)))
 
 
 # ---------------------------------------------------------------------------

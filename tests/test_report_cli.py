@@ -67,7 +67,7 @@ def filter_calls(monkeypatch):
         calls.append(mode)
         return real(record, mode)
 
-    # records.prepare is the one caller; every index filters through it
+    # PreparedRecord.filtered is the one caller; every index filters through it
     monkeypatch.setattr(records, "filter_self_citations", counting)
     return calls
 
@@ -252,7 +252,7 @@ def test_a_raising_index_frees_its_record_without_collection(call):
 def test_a_failing_view_part_is_not_kept():
     # exclude_own cannot filter a counts-only record; each index that needs
     # the filtered part builds it again and gets the same error.
-    view = records.prepare(_COUNTS_ONLY, _OWN)
+    view = records.PreparedRecord(_COUNTS_ONLY, _OWN)
     messages = set()
     for name in ("filtered", "vector", "authored", "vector"):
         with pytest.raises(FidelityError) as exc:
@@ -262,6 +262,10 @@ def test_a_failing_view_part_is_not_kept():
                         "self-citation filtering needs event-level data"}
     assert view.now_year == 2004
     assert vars(view) == {"record": _COUNTS_ONLY, "config": _OWN, "now_year": 2004}
+
+
+def test_a_view_without_a_config_reads_the_default_config():
+    assert records.PreparedRecord(_COUNTS_ONLY).config == IndexConfig()
 
 
 def test_format_value_rules():
@@ -863,8 +867,11 @@ def test_record_errors_name_their_check(capsys, tmp_path, name, text, message):
     ([], "nothing to compute; pass --field-chi, --np/--chi or --nc"),
     (["--nc", "100", "--np", "100", "--literal-radical"],
      "--literal-radical needs --np and --chi"),
+    # field names appear in no output, so the command takes none
+    (["--h", "1", "--field-chi", "2", "--reference-chi", "4", "--field-name", "x"],
+     "unrecognized arguments: --field-name x"),
 ], ids=["field-chi", "np-without-chi", "np-without-chi-after-field", "nothing",
-        "literal-radical"])
+        "literal-radical", "field-name"])
 def test_field_usage_errors_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(["field", *argv])
@@ -963,14 +970,17 @@ def test_render_json_refuses_non_finite_values():
      "field 'field': chi must be positive and finite"),
     (["field", "--h", "3", "--field-chi", "nan", "--reference-chi", "2"],
      "field 'field': chi must be positive and finite"),
+    (["field", "--h", "3", "--field-chi", "2", "--reference-chi", "-1"],
+     "field 'reference': chi must be positive and finite"),
     (["field", "--h", "3", "--field-chi", "1e-300", "--reference-chi", "1e300"],
      "field factor is not finite (inf)"),
     (["field", "--h", "1" + "0" * 200, "--field-chi", "1e-200", "--reference-chi", "1"],
      "normalized h is not finite (inf)"),
     (["field", "--np", "3", "--chi", "1e200"], "theoretical h estimate is not finite (inf)"),
     (["field", "--np", "3", "--chi", "nan"], "theoretical h estimate needs chi > 0"),
-], ids=["beta-nan", "impact-overflow", "h-above-articles", "chi-inf", "chi-nan", "factor-overflow",
-        "normalized-overflow", "estimate-overflow", "estimate-nan"])
+], ids=["beta-nan", "impact-overflow", "h-above-articles", "chi-inf", "chi-nan",
+        "reference-chi-negative", "factor-overflow", "normalized-overflow", "estimate-overflow",
+        "estimate-nan"])
 def test_non_finite_journal_and_field_values_are_domain_errors(capsys, argv, message):
     code, out, err = _run(capsys, argv + ["--format", "json"])
     assert (code, out) == (4, "")

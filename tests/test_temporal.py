@@ -76,6 +76,12 @@ def test_trend_hand_evaluated_score():
     assert trend_h(record, config) == 1
 
 
+def test_trend_names_the_first_event_after_now_year():
+    record = _rec(_events_pub("a", 2004, [2006, 2008]))
+    with pytest.raises(DomainError, match="^citation event year 2006 is after now_year 2005$"):
+        trend_h(record, IndexConfig(now_year=2005))
+
+
 def test_trend_requires_events():
     record = _rec(_counts_pub("a", 2020, 3))
     with pytest.raises(FidelityError, match="citation events"):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -45,6 +46,8 @@ def test_sri_cases():
     assert sri(20, 500) == pytest.approx(10 * math.log(20) / math.log(500))
     with pytest.raises(DomainError):
         sri(0, 100)
+    with pytest.raises(DomainError, match="strike rate index needs h >= 1"):
+        sri(-3, 10)
     with pytest.raises(DomainError):
         sri(5, 1)
 
@@ -145,6 +148,16 @@ def test_cohort_point_validation():
         CohortPoint("bad", 3, 5)
     with pytest.raises(RecordValidationError, match="'neg': counts must be non-negative"):
         CohortPoint("neg", -1, 0)
+    with pytest.raises(RecordValidationError, match="'big': n_p does not fit"):
+        CohortPoint("big", 2 ** 63, 0)
+    # n_p and h follow the type rule of the (entity, n_p, h) tuples
+    with pytest.raises(ValueError, match="^n_p 2.5 is not an integer$"):
+        research_status([CohortPoint("a", 2.5, 1), ("b", 3, 1), ("c", 4, 2)])
+    with pytest.raises(ValueError, match="^n_p True is a bool, not an integer$"):
+        CohortPoint("c", True, 0)
+    with pytest.raises(ValueError, match="^h 1.0 is not an integer$"):
+        CohortPoint("d", 3, 1.0)
+    assert type(CohortPoint("e", np.int64(3), np.int32(1)).n_p) is int
 
 
 def test_vanraan_cases():
