@@ -233,11 +233,11 @@ def cmd_field(parser, args):
 
 
 def cmd_status(parser, args):
-    from .venue import CohortPoint, research_status
+    from .venue import research_status
     points = read_cohort(args.input)
     header = ["entity", "n_p", "h", "residual"]
     # Residuals pair with points by position: entity names may repeat.
-    residuals = research_status(CohortPoint(*point) for point in points)
+    residuals = research_status(points)
     cohort = [[*point, r] for point, (_, r) in zip(points, residuals)]
     table = [header] + [[e, str(n), str(h), f"{r:.4f}"] for e, n, h, r in cohort]
     _emit(report_mod.render(args.format,

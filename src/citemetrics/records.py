@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 
 from .errors import (DomainError, FidelityError, RecordParseError,
@@ -169,11 +169,9 @@ class IndexConfig:
 
 @dataclass(frozen=True)
 class CitationVector:
-    """Citation counts sorted descending, with the source publication ids
-    retained rank by rank."""
+    """Citation counts sorted descending."""
 
     counts: tuple
-    publication_ids: tuple
 
 
 @dataclass(frozen=True)
@@ -185,7 +183,29 @@ class AuthoredVector:
 
 def validate_record(record):
     """Check every record invariant; raise RecordValidationError naming the
-    offending publication."""
+    offending record or publication.  Names must be strs in tuples and the
+    event columns tuples, as every parser builds them; so the parsers call
+    only _check_values."""
+    if not (isinstance(record.entity, str) and isinstance(record.owner_name, (str, type(None)))
+            and type(record.publications) is tuple):
+        raise RecordValidationError(f"record {record.entity!r}: entity and owner_name must "
+                                    "be strings and publications a tuple")
+    for pub in record.publications:
+        years, citers = pub.event_years, pub.event_citers
+        # Event years with no citers are left to _check_values's own message.
+        if not (years is citers is None
+                or type(years) is tuple and type(citers) in (tuple, type(None))):
+            raise RecordValidationError(
+                f"publication {pub.id!r}: event_years and event_citers must be tuples")
+        names = (pub.authors, *(citers or ()))
+        if not (set(map(type, names)) <= {tuple} and _all_str(chain.from_iterable(names))):
+            raise RecordValidationError(
+                f"publication {pub.id!r}: authors and citing authors must be tuples of strings")
+    return _check_values(record)
+
+
+def _check_values(record):
+    """validate_record's checks of a record of the types the parsers build."""
     if record.kind not in KINDS:
         raise RecordValidationError(
             f"record {record.entity!r}: unknown kind {record.kind!r}")
@@ -230,8 +250,11 @@ def validate_record(record):
                     f"does not match {len(years)} citation events")
             # One sum, not a check per event: a float, a numpy int or a
             # non-number among the years makes it a non-int or makes it fail.
+            # A bool sums as an int; past a publication year above 1 the year
+            # check below rejects it, so only then are the types left unread.
             try:
-                plain = type(sum(years)) is int
+                plain = type(sum(years)) is int and (
+                    pub.year > 1 or bool not in map(type, years))
             except (TypeError, OverflowError):
                 plain = False
             if not plain:
@@ -254,20 +277,6 @@ def validate_record(record):
             raise RecordValidationError(
                 f"publication {pub.id!r}: author_count smaller than the author list")
     return record
-
-
-def resolve_now_year(record, config=None):
-    """Observation year actually used: the configured one, or the latest year
-    anywhere in the record.  Returns None for a record with no years at all."""
-    config = config or IndexConfig()
-    pub_years = [p.year for p in record.publications]
-    if config.now_year is None:
-        return max(pub_years + [max(p.event_years) for p in record.publications
-                                if p.event_years], default=None)
-    if pub_years and config.now_year < max(pub_years):
-        raise DomainError(
-            f"now_year {config.now_year} precedes publication year {max(pub_years)}")
-    return config.now_year
 
 
 def require_events(pub, purpose):
@@ -359,8 +368,7 @@ class PreparedRecord:
 
     @cached_property
     def vector(self):
-        return CitationVector(counts=tuple(p.citations() for p in self.ranked),
-                              publication_ids=tuple(p.id for p in self.ranked))
+        return CitationVector(tuple(p.citations() for p in self.ranked))
 
     @cached_property
     def authored(self):
@@ -376,8 +384,15 @@ class PreparedRecord:
 
     @cached_property
     def now_year(self):
-        # One observation year per record, whatever the self-citation mode.
-        return resolve_now_year(self.record, self.config)
+        # The configured year, or the latest in the record as read, whatever the filter.
+        pubs, now = self.record.publications, self.config.now_year
+        pub_years = [p.year for p in pubs]
+        if now is None:
+            return max(pub_years + [max(p.event_years) for p in pubs if p.event_years],
+                       default=None)
+        if pub_years and now < max(pub_years):
+            raise DomainError(f"now_year {now} precedes publication year {max(pub_years)}")
+        return now
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +495,7 @@ def _check_record_fields(data, source):
 
 def _record(data, pubs):
     """The validated CitationRecord of checked record fields and publications."""
-    return validate_record(CitationRecord(
+    return _check_values(CitationRecord(
         entity=data["entity"], kind=data.get("kind", "researcher"),
         owner_name=data.get("owner_name"), publications=tuple(pubs)))
 
@@ -744,7 +759,7 @@ def parse_record(path):
         if suffix == ".json":
             return _read_input(path, _parse_json)
         pubs = _read_csv(path, _RECORD_CSV_LAYOUTS, "unrecognized CSV header {!r}")
-        return validate_record(CitationRecord(entity=path.stem, publications=tuple(pubs)))
+        return _check_values(CitationRecord(entity=path.stem, publications=tuple(pubs)))
     finally:
         if gc_was_enabled:
             if not gc.get_freeze_count():

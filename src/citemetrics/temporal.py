@@ -62,7 +62,7 @@ def _contemporary(view):
 
 def _trend_score(pub, now, config):
     years = require_events(pub, "trend scoring")
-    # Only an event can postdate now: resolve_now_year rejects a later publication.
+    # Only an event can postdate now: view.now_year rejects a later publication.
     if years and max(years) > now:
         year = next(year for year in years if year > now)
         raise DomainError(f"citation event year {year} is after now_year {now}")

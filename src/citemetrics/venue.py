@@ -122,22 +122,16 @@ def theoretical_h_estimate(n_p, chi, literal_radical=False):
                    "theoretical h estimate")
 
 
-def _as_points(cohort):
-    points = []
-    for item in cohort:
-        if isinstance(item, CohortPoint):
-            points.append(item)
-        else:
-            entity, n_p, h = item
-            points.append(CohortPoint(entity=entity, n_p=_plain_count(n_p, name="n_p"),
-                                      h=_plain_count(h, name="h")))
-    return points
-
-
 def research_status(cohort):
     """Residuals of h against an ordinary least-squares line on publication
-    counts; positive residuals mark above-trend impact for the output size."""
-    points = _as_points(cohort)
+    counts; positive residuals mark above-trend impact for the output size.
+    Each (entity, n_p, h) tuple is read as a CohortPoint."""
+    points = []
+    for item in cohort:
+        if not isinstance(item, CohortPoint):
+            entity, n_p, h = item  # a ValueError for a tuple of another length
+            item = CohortPoint(entity, n_p, h)
+        points.append(item)
     if len(points) < 3:
         raise DegenerateCohortError("research status needs at least three cohort points")
     xs = [p.n_p for p in points]

@@ -15,9 +15,10 @@ from citemetrics import (IndexConfig, SimConfig, TailFunction, a_index,
                          dynamic_h, f_index, g_index, glanzel_H, h2_index,
                          h_core_cv, h_core_sum, h_index, hw_index, hi_index,
                          lotkaian_h, m_quotient, maxprod, pure_h, r_index,
-                         resolve_now_year, rm_index, rmcv_index, schreiber_hm,
+                         rm_index, rmcv_index, schreiber_hm,
                          t_index, trend_h, vanraan_diagnostic, w_index)
 from citemetrics.cli import main
+from citemetrics.records import PreparedRecord
 from citemetrics.temporal import h_sequence
 from citemetrics.report import render_json
 from conftest import GOLDEN
@@ -141,7 +142,7 @@ def test_criterion_temporal_identities():
         if trend_h(record, IndexConfig(gamma=1.0, delta=0.0)) != h:
             violations += 1
         # m-quotient times career length recovers h
-        now = resolve_now_year(record, config)
+        now = PreparedRecord(record, config).now_year
         years = now - min(p.year for p in record.publications) + 1
         if abs(m_quotient(record, config) * years - h) > 1e-12:
             violations += 1

@@ -4,19 +4,29 @@ and dynamic_h and Glänzel's H over a sample or discrete Pareto tail, a
 call returns a finite value or raises ValueError or a
 CitemetricsError subclass.  It never raises ZeroDivisionError,
 OverflowError or an internal TypeError, and never returns NaN or inf.
-This is the library's counterpart of tests/test_cli_fuzz.py."""
+This is the library's counterpart of tests/test_cli_fuzz.py.
+
+Records built in code are held to the same rule: validate_record rejects a
+record, or every report, window sequence and rendering of it ends in a
+value or a documented error, and it survives a round trip through
+record_to_dict and record_from_dict."""
 
 import inspect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from citemetrics import (CitemetricsError, FieldProfile, TailFunction, coauthor, core,
-                         venue)
+from citemetrics import (CitationRecord, CitemetricsError, FieldProfile, IndexConfig,
+                         Publication, RecordValidationError, TailFunction, coauthor,
+                         compute_report, core, record_from_dict, record_to_dict,
+                         report_to_jsonable, validate_record, venue)
 from citemetrics.aggregate import dynamic_h, glanzel_H, lotkaian_h
-from citemetrics.records import G_CONVENTIONS
+from citemetrics.records import G_CONVENTIONS, SELF_CITATION_MODES
+from citemetrics.report import render_json
+from citemetrics.temporal import h_sequence
+from datagen import AUTHOR_NAMES
 
 # Ordinary small counts, next to every kind of value a plain count must not be.
 _NUMBER = st.one_of(
@@ -135,3 +145,91 @@ def test_every_plain_input_reads_through_one_rule(read, value, problem):
 def test_a_plain_count_may_be_any_index_type():
     assert core.h_index([np.int64(3)] * 3) == 3
     assert coauthor.schreiber_hm([(np.int32(2), np.int64(1))] * 2) == 2.0
+
+
+class _Name(str):
+    """A caller's own string type."""
+
+
+# Field values a record built in code may hold: the types the parsers build,
+# and next to them the mistakes a caller can make in each field.
+_NAMES = st.sampled_from(AUTHOR_NAMES) | st.sampled_from(AUTHOR_NAMES).map(_Name)
+_ODD_NAMES = st.sampled_from([3, True, None, 2.5, np.int64(3), b"Ann Lee", ("Ann Lee",)])
+_ODD_INTS = st.sampled_from([True, False, np.int64(2001), 2001.0, math.nan, None, "2001",
+                             2 ** 63, -2 ** 63 - 1])
+_YEARS = st.integers(1990, 2010) | st.sampled_from([-2 ** 63, 0, 1, 2 ** 63 - 1])
+
+
+def _odd_container(items):
+    """A list, a nested tuple, None or a bare item where a tuple of items belongs."""
+    return st.one_of(st.lists(items, max_size=3), st.tuples(st.tuples(items)), st.none(), items)
+
+
+@st.composite
+def _records_built_in_code(draw):
+    """A record whose fields are each, now and then, of another type or
+    value than the parsers build."""
+    odd = draw(st.booleans())
+
+    def field(valid, mistakes):
+        return draw(mistakes) if odd and draw(st.integers(0, 7)) == 0 else draw(valid)
+
+    def names():
+        return field(st.lists(_NAMES | _ODD_NAMES if odd else _NAMES, max_size=3).map(tuple),
+                     _odd_container(_NAMES))
+
+    pubs = []
+    for i in range(draw(st.integers(0, 4))):
+        year = field(_YEARS, _ODD_INTS)
+        count = field(st.integers(0, 6), _ODD_INTS | st.just(-1))
+        years = citers = None
+        if draw(st.booleans()):
+            n = draw(st.integers(0, 4))
+            base = year if type(year) is int and year < 2 ** 63 - 3 else 2000
+            event_year = st.integers(base, base + 3)
+            years = field(st.lists(event_year | _ODD_INTS if odd else event_year,
+                                   min_size=n, max_size=n).map(tuple),
+                          _odd_container(_YEARS | _ODD_INTS))
+            citers = field(st.just(tuple(names() for _ in range(n))),
+                           _odd_container(_NAMES) | st.just(None))
+            count = field(st.just(None) | st.just(n), st.just(count))
+        elif odd and draw(st.integers(0, 3)) == 0:
+            citers = ((),)
+        pubs.append(Publication(
+            id=field(st.just(f"p{i}") | st.just(_Name(f"p{i}")), _ODD_NAMES),
+            year=year, authors=names(),
+            author_count=field(st.none() | st.integers(3, 6), _ODD_INTS | st.just(0)),
+            citation_count=count, event_years=years, event_citers=citers))
+    return CitationRecord(
+        entity=field(st.just("E") | st.just(_Name("E")), _ODD_NAMES),
+        owner_name=field(st.none() | _NAMES, _ODD_NAMES),
+        publications=field(st.just(tuple(pubs)), st.just(pubs)))
+
+
+def _ends_in_a_value_or_a_documented_error(call):
+    try:
+        return call()
+    except (ValueError, CitemetricsError):
+        return None
+
+
+@given(_records_built_in_code())
+@example(CitationRecord(entity="E", publications=(Publication(
+    id="p", year=0, event_years=(True, 1), event_citers=((), ())),)))
+@example(CitationRecord(entity="E", publications=(Publication(
+    id="p", year=2000, authors=("A", 3), event_years=(2001,), event_citers=(("B",),)),)))
+@example(CitationRecord(entity="E", publications=(Publication(
+    id="p", year=2000, event_years=2001),)))
+def test_a_record_built_in_code_is_rejected_or_reports_and_round_trips(record):
+    try:
+        validate_record(record)
+    except RecordValidationError:
+        return
+    for mode in SELF_CITATION_MODES:
+        report = _ends_in_a_value_or_a_documented_error(
+            lambda: compute_report(record, IndexConfig(self_citation_mode=mode)))
+        if report is not None:
+            _ends_in_a_value_or_a_documented_error(
+                lambda: render_json(report_to_jsonable(report)))
+    _ends_in_a_value_or_a_documented_error(lambda: h_sequence(record))
+    assert record_from_dict(record_to_dict(record)) == record

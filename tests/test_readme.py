@@ -1,5 +1,6 @@
 """The README's library-layout table, index-key list, CLI examples and
-per-command options match what the package defines."""
+per-command options match what the package defines; the table lists every
+name the package exports."""
 
 import argparse
 import importlib
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import citemetrics
 from citemetrics.cli import build_parser
 from citemetrics.report import REPORT_INDEX_KEYS
 
@@ -34,9 +36,16 @@ def _resolves(module, dotted):
 
 def test_layout_table_names_exist():
     rows = list(_layout_rows())
-    assert len(rows) == 7
+    assert len(rows) == 8
     missing = [f"{module}.{name}" for module, names in rows for name in names
                if not _resolves(importlib.import_module(module), name)]
+    assert missing == []
+
+
+def test_layout_table_lists_every_export_in_its_modules_row():
+    listed = {module: set(names) for module, names in _layout_rows()}
+    missing = [f"{module}.{name}" for module, names in citemetrics._EXPORTS.items()
+               for name in names if name not in listed.get(f"citemetrics.{module}", ())]
     assert missing == []
 
 

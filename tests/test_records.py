@@ -15,7 +15,7 @@ from citemetrics import (CitationEvent, CitationRecord, FidelityError,
                          IndexConfig, Publication, RecordParseError,
                          RecordValidationError, citation_vector,
                          filter_self_citations, parse_record, record_from_dict,
-                         record_to_dict, resolve_now_year, totals,
+                         record_to_dict, totals,
                          validate_record, write_record)
 from citemetrics import core, records
 from datagen import AUTHOR_NAMES, event_publications, event_record
@@ -208,6 +208,72 @@ def test_a_publication_id_must_be_a_string():
         validate_record(_rec(Publication(id=7, year=2000, citation_count=1)))
 
 
+_EVENTS = {"event_years": (2001,), "event_citers": (("B",),)}
+
+
+_NAMES = "authors and citing authors must be tuples of strings"
+_COLUMNS = "event_years and event_citers must be tuples"
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"authors": ("A", 3)}, _NAMES),
+    ({"authors": ["A"]}, _NAMES),
+    ({"authors": None}, _NAMES),
+    ({"authors": (("A",),)}, _NAMES),
+    ({**_EVENTS, "event_citers": ((None,),)}, _NAMES),
+    ({**_EVENTS, "event_citers": (["B"],)}, _NAMES),
+    ({**_EVENTS, "event_citers": ("B",)}, _NAMES),
+    ({**_EVENTS, "event_citers": [("B",)]}, _COLUMNS),
+    ({**_EVENTS, "event_years": [2001]}, _COLUMNS),
+    ({"event_citers": (("B",),)}, _COLUMNS),
+    ({"event_years": 2001}, _COLUMNS),
+    ({"event_years": [2001]}, _COLUMNS),
+], ids=["int-author", "author-list", "no-author-tuple", "nested-author", "none-citer",
+        "citer-list", "str-citers", "citers-list", "event-year-list", "citers-without-years",
+        "bare-year-without-citers", "year-list-without-citers"])
+def test_names_and_their_containers_are_checked(fields, message):
+    # Unchecked, a non-str name ends in a raw AttributeError from
+    # normalize_author, and a list fails the round trip's equality.
+    pub = dataclasses.replace(Publication(id="p", year=2000, citation_count=1), **fields)
+    with pytest.raises(RecordValidationError) as exc:
+        validate_record(_rec(pub))
+    assert str(exc.value) == f"publication 'p': {message}"
+
+
+@pytest.mark.parametrize("record", [
+    CitationRecord(entity=7), CitationRecord(entity="X", owner_name=("A",)),
+    CitationRecord(entity="X", publications=[Publication(id="p", year=2000, citation_count=0)]),
+], ids=["entity", "owner", "publication-list"])
+def test_record_fields_are_checked(record):
+    with pytest.raises(RecordValidationError) as exc:
+        validate_record(record)
+    assert str(exc.value) == (f"record {record.entity!r}: entity and owner_name must be "
+                              "strings and publications a tuple")
+
+
+def test_str_subclass_names_are_names():
+    class Name(str):
+        pass
+
+    record = _rec(Publication(id=Name("p"), year=2000, authors=(Name("A"),),
+                              event_years=(2001,), event_citers=((Name("B"),),)),
+                  entity=Name("X"), owner=Name("A"))
+    assert record_from_dict(record_to_dict(validate_record(record))) == record
+
+
+@pytest.mark.parametrize("year, message", [
+    (0, "citation event years must be integers"),
+    (1, "citation event years must be integers"),
+    (2000, "citation event year True precedes publication year 2000"),
+])
+def test_a_bool_event_year_is_rejected(year, message):
+    # A bool sums as an int; it would fail the round trip as a JSON true.
+    pub = Publication(id="p", year=year, event_years=(True, 1), event_citers=((), ()))
+    with pytest.raises(RecordValidationError) as exc:
+        validate_record(_rec(pub))
+    assert str(exc.value) == f"publication 'p': {message}"
+
+
 # ---------------------------------------------------------------------------
 # Vector derivation
 
@@ -219,15 +285,18 @@ def test_citation_vector_scientist_d(equal_h_records):
 def test_tie_break_is_deterministic():
     record = _rec(Publication(id="later", year=2005, citation_count=5),
                   Publication(id="early", year=2001, citation_count=5))
-    v = citation_vector(record)
-    assert v.counts == (5, 5)
-    assert v.publication_ids == ("early", "later")
+    assert citation_vector(record).counts == (5, 5)
+    assert [p.id for p in records.PreparedRecord(record).ranked] == ["early", "later"]
 
 
 def test_tie_break_same_year_uses_id():
     record = _rec(Publication(id="b", year=2001, citation_count=5),
                   Publication(id="a", year=2001, citation_count=5))
-    assert citation_vector(record).publication_ids == ("a", "b")
+    assert [p.id for p in records.PreparedRecord(record).ranked] == ["a", "b"]
+
+
+def test_a_citation_vector_holds_only_its_counts():
+    assert [f.name for f in dataclasses.fields(records.CitationVector)] == ["counts"]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=50), max_size=20))
@@ -344,15 +413,16 @@ def test_totals_scientist_g(equal_h_records):
 
 def test_now_year_defaults_to_latest_anywhere():
     record = _rec(Publication(id="p", year=2000, event_years=(2009,), event_citers=((),)))
-    assert resolve_now_year(record) == 2009
-    assert resolve_now_year(record, IndexConfig(now_year=2012)) == 2012
+    assert records.PreparedRecord(record).now_year == 2009
+    assert records.PreparedRecord(record, IndexConfig(now_year=2012)).now_year == 2012
+    assert records.PreparedRecord(_rec()).now_year is None
 
 
 def test_now_year_before_publication_is_domain_error():
     from citemetrics import DomainError
     record = _rec(Publication(id="p", year=2005, citation_count=0))
     with pytest.raises(DomainError):
-        resolve_now_year(record, IndexConfig(now_year=2004))
+        records.PreparedRecord(record, IndexConfig(now_year=2004)).now_year
 
 
 # ---------------------------------------------------------------------------
@@ -665,11 +735,13 @@ def test_parse_record_keeps_a_callers_frozen_objects_frozen(equal_h_paths):
 def test_parse_record_pauses_gc_and_restores_it(tmp_path, monkeypatch, equal_h_paths):
     states = []
 
+    check_values = records._check_values
+
     def spy(record):
         states.append(gc.isenabled())
-        return validate_record(record)
+        return check_values(record)
 
-    monkeypatch.setattr(records, "validate_record", spy)
+    monkeypatch.setattr(records, "_check_values", spy)
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     was_enabled = gc.isenabled()

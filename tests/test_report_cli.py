@@ -1153,7 +1153,7 @@ _PACKAGE_EXPORTS = {
               "RecordParseError RecordValidationError UndefinedInputError",
     "records": "CitationEvent CitationRecord CitationVector IndexConfig Publication "
                "citation_vector filter_self_citations parse_record record_from_dict "
-               "record_to_dict resolve_now_year totals validate_record write_record",
+               "record_to_dict totals validate_record write_record",
     "report": "IndexReport REPORT_INDEX_KEYS compute_report format_value render_json "
               "report_to_jsonable",
     "temporal": "HMatrix HSequence ar_index contemporary_h h_matrix h_sequence m_quotient "

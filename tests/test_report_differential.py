@@ -19,8 +19,8 @@ from citemetrics import (CitationRecord, DomainError,
                          FidelityError, IndexConfig, Publication,
                          UndefinedInputError, authored_vector,
                          citation_vector, coauthor, compute_report, core,
-                         resolve_now_year, temporal, validate_record)
-from citemetrics.records import SELF_CITATION_MODES
+                         temporal, validate_record)
+from citemetrics.records import SELF_CITATION_MODES, PreparedRecord
 from citemetrics.report import REPORT_INDEX_KEYS
 from datagen import AUTHOR_NAMES as NAMES
 import vector_oracles as vo
@@ -155,7 +155,7 @@ def late_self_cited(draw):
     if not events or not draw(st.booleans()):
         return record
     owner = record.owner_name or draw(st.sampled_from(NAMES))
-    late = resolve_now_year(record) + draw(st.integers(1, 3))
+    late = PreparedRecord(record).now_year + draw(st.integers(1, 3))
     pub = draw(st.sampled_from(events))
     count = None if pub.citation_count is None else pub.citation_count + 1
     cited = replace(pub, event_years=pub.event_years + (late,),

@@ -160,6 +160,26 @@ def test_cohort_point_validation():
     assert type(CohortPoint("e", np.int64(3), np.int32(1)).n_p) is int
 
 
+@pytest.mark.parametrize("point, error, message", [
+    (("a", -1, 0), RecordValidationError, "^'a': counts must be non-negative$"),
+    (("a", 2 ** 63, 0), RecordValidationError, "^'a': n_p does not fit"),
+    (("a", 3, 5), RecordValidationError, r"^'a': h \(5\) exceeds publication count \(3\)$"),
+    (("a", 2.5, 1), ValueError, "^n_p 2.5 is not an integer$"),
+    (("a", 3), ValueError, "not enough values to unpack"),
+], ids=["negative", "over-int64", "h-over-n_p", "float", "2-tuple"])
+def test_research_status_reads_tuples_as_cohort_points(point, error, message):
+    with pytest.raises(error, match=message):
+        research_status([point, ("b", 3, 1), ("c", 4, 2)])
+    if len(point) == 3:
+        with pytest.raises(error, match=message):
+            CohortPoint(*point)
+
+
+def test_research_status_treats_tuples_and_cohort_points_alike():
+    cohort = [("a", 10, 5), ("b", np.int64(20), 10), ("c", 30, np.int32(12))]
+    assert research_status(cohort) == research_status([CohortPoint(*p) for p in cohort])
+
+
 def test_vanraan_cases():
     assert vanraan_diagnostic(0) == 0.0
     assert vanraan_diagnostic(1) == pytest.approx(0.42)
