@@ -31,22 +31,30 @@ _MEMBER_VALUES = {
 }
 
 
+def _member_reader(keys):
+    """group_indices's reduction: a function from one member record to its
+    values for the group indices named in keys, in order."""
+    readers = [_MEMBER_VALUES[key] for key in keys]
+    return lambda member: [read(member) for read in readers]
+
+
+def _group_scores(rows, keys):
+    """group_indices's combine step: the member count, and for each key the
+    h-index of its column of the members' value rows."""
+    if not rows:
+        raise UndefinedInputError("group has no members")
+    return {"members": len(rows),
+            **{key: _score_h(column) for key, column in zip(keys, zip(*rows))}}
+
+
 def group_indices(group, keys=tuple(_MEMBER_VALUES)):
     """Member count and the group indices named in keys (all by default), in
     one pass over group: successive h is the h-index of the members'
     h-indices, group h_p of their publication counts and group h_c of their
     citation totals.  Each member is reduced to its values as it is read, so
     an iterable of records need hold only one at a time."""
-    readers = [_MEMBER_VALUES[key] for key in keys]
-
-    def values(member):
-        return [read(member) for read in readers]
-
-    rows = list(map(values, group))  # map keeps no member once it is reduced
-    if not rows:
-        raise UndefinedInputError("group has no members")
-    return {"members": len(rows),
-            **{key: _score_h(column) for key, column in zip(keys, zip(*rows))}}
+    # map keeps no member once it is reduced
+    return _group_scores(list(map(_member_reader(keys), group)), keys)
 
 
 def successive_h(group):

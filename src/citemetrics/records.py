@@ -191,6 +191,9 @@ def validate_record(record):
         raise RecordValidationError(f"record {record.entity!r}: entity and owner_name must "
                                     "be strings and publications a tuple")
     for pub in record.publications:
+        if not isinstance(pub, Publication):
+            raise RecordValidationError(
+                f"record {record.entity!r}: publication {pub!r} is not a Publication")
         years, citers = pub.event_years, pub.event_citers
         # Event years with no citers are left to _check_values's own message.
         if not (years is citers is None

@@ -169,17 +169,26 @@ def h_sequence(record, config=None, truncate_events_to_now=False):
                      values=tuple(values))
 
 
+def _matrix_row(record, config, truncate_events_to_now):
+    """h_matrix's reduction of one record: its entity and h-sequence."""
+    return record.entity, h_sequence(record, config, truncate_events_to_now)
+
+
+def _stack_rows(rows):
+    """h_matrix's combine step: the (entity, HSequence) rows, in order,
+    aligned at the most recent window."""
+    if not rows:
+        raise UndefinedInputError("cohort is empty")
+    width = max(len(seq.values) for _, seq in rows)
+    return HMatrix(entities=tuple(entity for entity, _ in rows),
+                   rows=tuple(seq.values + (None,) * (width - len(seq.values))
+                              for _, seq in rows))
+
+
 def h_matrix(records, config=None, truncate_events_to_now=False):
     """Stack the h-sequences of a cohort, aligned at the most recent window.
     records is read once, in order, and each record is reduced to its
     h-sequence and dropped before the next one is read."""
-    entities, sequences = [], []
-    for record in records:
-        entities.append(record.entity)
-        sequences.append(h_sequence(record, config, truncate_events_to_now))
-        del record  # released before the iterable yields the next one
-    if not sequences:
-        raise UndefinedInputError("cohort is empty")
-    width = max(len(s.values) for s in sequences)
-    rows = tuple(s.values + (None,) * (width - len(s.values)) for s in sequences)
-    return HMatrix(entities=tuple(entities), rows=rows)
+    # map keeps no record once it is reduced
+    return _stack_rows(list(map(
+        lambda record: _matrix_row(record, config, truncate_events_to_now), records)))

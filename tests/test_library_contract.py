@@ -158,6 +158,9 @@ _ODD_NAMES = st.sampled_from([3, True, None, 2.5, np.int64(3), b"Ann Lee", ("Ann
 _ODD_INTS = st.sampled_from([True, False, np.int64(2001), 2001.0, math.nan, None, "2001",
                              2 ** 63, -2 ** 63 - 1])
 _YEARS = st.integers(1990, 2010) | st.sampled_from([-2 ** 63, 0, 1, 2 ** 63 - 1])
+# What a caller may put in a record's publications in place of a Publication.
+_ODD_PUBLICATIONS = st.sampled_from([{"id": "p"}, None, "p", ("p", 2000, 3),
+                                     CitationRecord(entity="E")])
 
 
 def _odd_container(items):
@@ -195,11 +198,12 @@ def _records_built_in_code(draw):
             count = field(st.just(None) | st.just(n), st.just(count))
         elif odd and draw(st.integers(0, 3)) == 0:
             citers = ((),)
-        pubs.append(Publication(
+        pub = Publication(
             id=field(st.just(f"p{i}") | st.just(_Name(f"p{i}")), _ODD_NAMES),
             year=year, authors=names(),
             author_count=field(st.none() | st.integers(3, 6), _ODD_INTS | st.just(0)),
-            citation_count=count, event_years=years, event_citers=citers))
+            citation_count=count, event_years=years, event_citers=citers)
+        pubs.append(field(st.just(pub), _ODD_PUBLICATIONS))
     return CitationRecord(
         entity=field(st.just("E") | st.just(_Name("E")), _ODD_NAMES),
         owner_name=field(st.none() | _NAMES, _ODD_NAMES),
@@ -220,6 +224,7 @@ def _ends_in_a_value_or_a_documented_error(call):
     id="p", year=2000, authors=("A", 3), event_years=(2001,), event_citers=(("B",),)),)))
 @example(CitationRecord(entity="E", publications=(Publication(
     id="p", year=2000, event_years=2001),)))
+@example(CitationRecord(entity="E", publications=({"id": "p"},)))
 def test_a_record_built_in_code_is_rejected_or_reports_and_round_trips(record):
     try:
         validate_record(record)

@@ -1,8 +1,10 @@
 """The multi-record commands stream their inputs: each record is parsed,
-reduced and released before the next file is read.  Also pins the error
-order (usage checks first, then the first failing input) and the output of
-every streaming command on a seeded cohort, byte for byte."""
+reduced and released before the next file is read, in-process or in each
+worker of a pool.  Also pins the error order (usage checks first, then the
+first failing input) and the output of every streaming command on a seeded
+cohort, byte for byte, with and without workers."""
 
+import multiprocessing
 import random
 import weakref
 
@@ -60,14 +62,36 @@ def _run(capsys, argv):
     return code, out.out, out.err
 
 
+def _with_workers(capsys, argv):
+    """_run with two worker processes, whatever the inputs' size and the
+    CPUs this process may use; no worker outlives the command."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_POOL_MIN_BYTES", 0)
+        patch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+        try:
+            return _run(capsys, argv)
+        finally:
+            assert multiprocessing.active_children() == []
+
+
+def _assert_pinned(run, capsys, tmp_path, case, fmt):
+    command, *flags = _PARITY_CASES[case]
+    argv = [command, "--inputs", *seeded_cohort(tmp_path), *flags, "--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "streaming" / f"{case}.{fmt}.txt").read_text()
+
+
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 @pytest.mark.parametrize("case", sorted(_PARITY_CASES))
 def test_seeded_cohort_output_is_pinned(capsys, tmp_path, case, fmt):
-    command, *flags = _PARITY_CASES[case]
-    argv = [command, "--inputs", *seeded_cohort(tmp_path), *flags, "--format", fmt]
-    code, out, err = _run(capsys, argv)
-    assert (code, err) == (0, "")
-    assert out == (GOLDEN / "streaming" / f"{case}.{fmt}.txt").read_text()
+    _assert_pinned(_run, capsys, tmp_path, case, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("case", sorted(_PARITY_CASES))
+def test_workers_print_the_pinned_output(capsys, tmp_path, case, fmt):
+    _assert_pinned(_with_workers, capsys, tmp_path, case, fmt)
 
 
 class ParseTracker:
@@ -113,6 +137,15 @@ def test_one_parsed_record_alive_at_a_time(capsys, tmp_path, tracker, cohort, ar
     code, _, _ = _run(capsys, [argv[0], "--inputs", *paths, *argv[1:]])
     assert code == 0
     assert (tracker.calls, tracker.peak, tracker.alive) == (len(paths), 1, 0)
+
+
+@pytest.mark.parametrize("command", STREAMING)
+def test_the_parent_parses_no_record_when_workers_run(capsys, tmp_path, tracker, command):
+    paths = seeded_cohort(tmp_path)
+    in_process = _run(capsys, [command, "--inputs", *paths])
+    assert tracker.calls == len(paths)
+    assert _with_workers(capsys, [command, "--inputs", *paths]) == in_process
+    assert tracker.calls == len(paths)  # each worker counts on its own copy
 
 
 def test_compare_releases_records_when_parts_fail(capsys, tracker):
@@ -182,3 +215,52 @@ def test_matrix_stops_at_its_first_failing_input(capsys, tmp_path, tracker):
                                  str(tmp_path / "missing.json")])
     assert code == 4 and "span more than" in err
     assert tracker.calls == 2
+
+
+def test_workers_report_the_first_failing_input(capsys, tmp_path):
+    # The twin of test_first_failing_input_decides_the_exit_code.
+    first = _counts_record(tmp_path / "first.json", "first", [2005])
+    second = _counts_record(tmp_path / "second.json", "second", [1990])
+    argv = ["compare", "--inputs", first, second, str(tmp_path / "missing.json"),
+            "--indices", "h,m_quotient", "--now-year", "2000", "--strict"]
+    code, out, err = _with_workers(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err == "error: now_year 2000 precedes publication year 2005\n"
+
+    in_process = _run(capsys, argv[:-1])
+    assert in_process[0] == 3 and "missing.json" in in_process[2]
+    assert _with_workers(capsys, argv[:-1]) == in_process
+
+
+def test_workers_stop_matrix_at_its_first_failing_input(capsys, tmp_path):
+    # The twin of test_matrix_stops_at_its_first_failing_input.
+    wide = _counts_record(tmp_path / "wide.json", "wide", [0, 1_000_000])
+    fine = _counts_record(tmp_path / "fine.json", "fine", [2000, 2001])
+    argv = ["matrix", "--inputs", fine, wide, str(tmp_path / "missing.json")]
+    code, _, err = _with_workers(capsys, argv)
+    assert code == 4 and "span more than" in err
+    assert _run(capsys, argv) == (code, "", err)
+
+
+def _exit_argv(tmp_path, command, code):
+    """argv for command that ends in exit code."""
+    fine = [_counts_record(tmp_path / f"{name}.json", name, [2000, 2001])
+            for name in ("a", "b")]
+    if code == 4 and command == "matrix":
+        fine.append(_counts_record(tmp_path / "wide.json", "wide", [0, 1_000_000]))
+    flags = {0: [], 2: ["--format", "yaml"], 3: [str(tmp_path / "missing.json")],
+             4: ["--now-year", "1999", "--strict"] if command == "compare" else []}[code]
+    return [command, "--inputs", *fine, *flags]
+
+
+# successive and group have no domain error a command line can reach.
+@pytest.mark.parametrize("command, code", [
+    *[(command, code) for command in STREAMING for code in (0, 2, 3)],
+    ("compare", 4), ("matrix", 4)])
+def test_no_worker_outlives_a_command(capsys, tmp_path, command, code):
+    argv = _exit_argv(tmp_path, command, code)
+    try:
+        result = _with_workers(capsys, argv)[0]
+    except SystemExit as exc:
+        result = exc.code
+    assert result == code
