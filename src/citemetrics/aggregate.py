@@ -12,6 +12,7 @@ only when a simulation runs, so the other commands start without it.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,6 +193,15 @@ class SimConfig:
     citation_rate_scale: float = 1.0
 
     def __post_init__(self):
+        # Each knob is stored as read (the class is frozen): the counts as
+        # plain ints, and an int too large for a float as an infinite float.
+        for name in ("seed", "careers", "career_years"):
+            object.__setattr__(self, name, _plain_count(getattr(self, name), -math.inf,
+                                                        name, math.inf))
+        for name in ("pub_rate", "gamma_shape", "gamma_rate", "citation_rate_scale"):
+            value = getattr(self, name)
+            if isinstance(value, int) and abs(value) > sys.float_info.max:
+                object.__setattr__(self, name, math.inf if value > 0 else -math.inf)
         if self.seed < 0:
             raise DomainError("seed must be non-negative")
         if self.careers < 1 or self.career_years < 1:

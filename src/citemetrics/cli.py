@@ -9,8 +9,9 @@ first one that fails decides the exit code.  The multi-record commands
 reduce and drop each record before they read the next file.  When their
 inputs are large enough to repay it (_POOL_MIN_BYTES), forked worker
 processes, one per usable CPU, each parse and reduce one input at a time;
-later inputs may then be read before an earlier one fails, with the same
-output and exit code.
+each worker's error reaches the parent through Pool.imap at its input's
+position, so later inputs may be read before an earlier one fails, with the
+same output and exit code.
 """
 
 from __future__ import annotations
@@ -66,21 +67,11 @@ def _pool_size(paths):
     return workers if threading.active_count() == 1 else 0
 
 
-_worker_reduce = None  # the command's reduce, set in each worker as it starts
+_reduce = None  # the command's reduce while a pool runs; the workers fork with it
 
 
-def _start_worker(reduce):
-    global _worker_reduce
-    _worker_reduce = reduce
-
-
-def _reduce_in_worker(path):
-    """reduce(parse_record(path)), or the input or domain error it raised,
-    returned for the parent to raise in input order."""
-    try:
-        return _worker_reduce(parse_record(path))
-    except _INPUT_ERRORS + _DOMAIN_ERRORS as exc:
-        return exc
+def _reduce_path(path):
+    return _reduce(parse_record(path))
 
 
 def _reduce_inputs(reduce, paths):
@@ -88,28 +79,25 @@ def _reduce_inputs(reduce, paths):
     the error of the first input that fails.  With a pool, forked workers
     each hold one record at a time and send back only its reduction, and
     every worker has exited when this returns or raises.  fork, not spawn:
-    a spawned worker would import the package again."""
+    a spawned worker would import the package again and could not read a
+    reduce that is a closure."""
+    global _reduce
     workers = _pool_size(paths)
     if not workers:
         return [reduce(parse_record(path)) for path in paths]
     import multiprocessing
     sys.stdout.flush()  # a forked worker must not hold unwritten output
     sys.stderr.flush()
-    pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (reduce,))
+    _reduce = reduce  # unraced: _pool_size pools only in a one-thread process
     try:
-        results = []
-        # A few chunks per worker: fewer round trips than one input each,
-        # and a worker that draws the larger files holds the others up less
-        # than with one chunk each.
-        for result in pool.imap(_reduce_in_worker, paths,
-                                chunksize=max(1, len(paths) // (4 * workers))):
-            if isinstance(result, _INPUT_ERRORS + _DOMAIN_ERRORS):
-                raise result
-            results.append(result)
-        return results
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            # A few chunks per worker: fewer round trips than one input each,
+            # and a worker that draws the larger files holds the others up less
+            # than with one chunk each.
+            return list(pool.imap(_reduce_path, paths,
+                                  chunksize=max(1, len(paths) // (4 * workers))))
     finally:
-        pool.terminate()
-        pool.join()
+        _reduce = None
 
 
 def _int_flag(text):

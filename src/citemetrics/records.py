@@ -183,9 +183,10 @@ class AuthoredVector:
 
 def validate_record(record):
     """Check every record invariant; raise RecordValidationError naming the
-    offending record or publication.  Names must be strs in tuples and the
-    event columns tuples, as every parser builds them; so the parsers call
-    only _check_values."""
+    offending record or publication.  Each field's type is checked here,
+    before any value: only a record built in code can fail these checks, as
+    the parsers check each type while they read, so they call only
+    _check_values."""
     if not (isinstance(record.entity, str) and isinstance(record.owner_name, (str, type(None)))
             and type(record.publications) is tuple):
         raise RecordValidationError(f"record {record.entity!r}: entity and owner_name must "
@@ -194,8 +195,15 @@ def validate_record(record):
         if not isinstance(pub, Publication):
             raise RecordValidationError(
                 f"record {record.entity!r}: publication {pub!r} is not a Publication")
+        if not isinstance(pub.id, str):
+            raise RecordValidationError(f"publication id {pub.id!r} is not a string")
+        for name in ("year", "author_count", "citation_count"):
+            value = getattr(pub, name)
+            # type(), not isinstance(): no bool, and no numpy int for the JSON renderer
+            if type(value) is not int and (value is not None or name == "year"):
+                raise RecordValidationError(f"publication {pub.id!r}: {name} must be an integer")
         years, citers = pub.event_years, pub.event_citers
-        # Event years with no citers are left to _check_values's own message.
+        # Event years with no citers get their own message below.
         if not (years is citers is None
                 or type(years) is tuple and type(citers) in (tuple, type(None))):
             raise RecordValidationError(
@@ -204,18 +212,26 @@ def validate_record(record):
         if not (set(map(type, names)) <= {tuple} and _all_str(chain.from_iterable(names))):
             raise RecordValidationError(
                 f"publication {pub.id!r}: authors and citing authors must be tuples of strings")
+        if years is None:
+            continue
+        if citers is None or len(citers) != len(years):
+            raise RecordValidationError(
+                f"publication {pub.id!r}: {len(years)} event years but "
+                f"{'no' if citers is None else len(citers)} citing-author lists")
+        if not set(map(type, years)) <= {int}:
+            raise RecordValidationError(
+                f"publication {pub.id!r}: citation event years must be integers")
     return _check_values(record)
 
 
 def _check_values(record):
-    """validate_record's checks of a record of the types the parsers build."""
+    """validate_record's checks of each field's value, for a record whose
+    fields are of the types the parsers build."""
     if record.kind not in KINDS:
         raise RecordValidationError(
             f"record {record.entity!r}: unknown kind {record.kind!r}")
     seen = set()
     for pub in record.publications:
-        if not isinstance(pub.id, str):
-            raise RecordValidationError(f"publication id {pub.id!r} is not a string")
         if not pub.id.strip():
             raise RecordValidationError(f"publication id {pub.id!r} is blank")
         if pub.id in seen:
@@ -223,12 +239,7 @@ def _check_values(record):
         seen.add(pub.id)
         for name in ("year", "author_count", "citation_count"):
             value = getattr(pub, name)
-            # type(), not isinstance(): no bool, and no numpy int for the JSON renderer
-            if type(value) is not int:
-                if value is None and name != "year":
-                    continue
-                raise RecordValidationError(f"publication {pub.id!r}: {name} must be an integer")
-            if not INT64_MIN <= value <= INT64_MAX:
+            if value is not None and not INT64_MIN <= value <= INT64_MAX:
                 raise RecordValidationError(
                     f"publication {pub.id!r}: {name} does not fit in a signed 64-bit integer")
         years = pub.event_years
@@ -239,30 +250,10 @@ def _check_values(record):
             raise RecordValidationError(
                 f"publication {pub.id!r}: citation_count must be non-negative")
         if years is not None:
-            if pub.event_citers is None:
-                raise RecordValidationError(
-                    f"publication {pub.id!r}: {len(years)} event years but no "
-                    "citing-author lists")
-            if len(pub.event_citers) != len(years):
-                raise RecordValidationError(
-                    f"publication {pub.id!r}: {len(years)} event years but "
-                    f"{len(pub.event_citers)} citing-author lists")
             if pub.citation_count is not None and pub.citation_count != len(years):
                 raise RecordValidationError(
                     f"publication {pub.id!r}: citation_count {pub.citation_count} "
                     f"does not match {len(years)} citation events")
-            # One sum, not a check per event: a float, a numpy int or a
-            # non-number among the years makes it a non-int or makes it fail.
-            # A bool sums as an int; past a publication year above 1 the year
-            # check below rejects it, so only then are the types left unread.
-            try:
-                plain = type(sum(years)) is int and (
-                    pub.year > 1 or bool not in map(type, years))
-            except (TypeError, OverflowError):
-                plain = False
-            if not plain:
-                raise RecordValidationError(
-                    f"publication {pub.id!r}: citation event years must be integers")
             if years and (min(years) < pub.year or max(years) > INT64_MAX):
                 for year in years:  # in order, so the first failing event is named
                     if year > INT64_MAX:  # the year check below bounds it from below
@@ -801,9 +792,11 @@ def _parse_json(path):
 
 
 def _read_input(path, read):
-    """read(path), with a fault in the file's text raised as a
-    RecordParseError naming the path: text that is not UTF-8 and a CSV
-    field over the csv module's size limit."""
+    """read(path), with a fault in the path or in the file's text raised as
+    a RecordParseError naming the path: a NUL in the path, text that is not
+    UTF-8 and a CSV field over the csv module's size limit."""
+    if "\0" in str(path):  # which open would raise as a bare ValueError
+        raise RecordParseError(f"{str(path)!r}: embedded null byte in the path")
     try:
         return read(path)
     except UnicodeDecodeError as exc:

@@ -245,6 +245,33 @@ def test_simulate_cli_refuses_oversized_ensemble(capsys):
     assert err.startswith("error: expected simulation size 6.92e+13 ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("knobs, message", [
+    ({"seed": True}, "seed True is a bool, not an integer"),
+    ({"careers": 2.5}, "careers 2.5 is not an integer"),
+    ({"career_years": 2.5}, "career_years 2.5 is not an integer"),
+], ids=["bool-seed", "float-careers", "float-career-years"])
+def test_sim_config_counts_must_be_plain_integers(knobs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SimConfig(**knobs)
+
+
+def test_sim_config_stores_its_counts_as_plain_ints():
+    import numpy as np
+    config = SimConfig(seed=np.int64(3), careers=np.int32(2), career_years=np.uint8(4))
+    assert [type(config.seed), type(config.careers), type(config.career_years)] == [int] * 3
+    assert (config.seed, config.careers, config.career_years) == (3, 2, 4)
+
+
+@pytest.mark.parametrize("name", ["pub_rate", "gamma_shape", "citation_rate_scale"])
+def test_a_knob_too_large_for_a_float_is_as_infinite_as_inf(name):
+    messages = []
+    for value in (10 ** 400, math.inf):
+        with pytest.raises(DomainError) as exc:
+            SimConfig(**{name: value})
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
 def test_negative_seed_is_rejected_before_drawing(capsys):
     with pytest.raises(DomainError, match="seed must be non-negative"):
         SimConfig(seed=-1)

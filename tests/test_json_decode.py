@@ -217,7 +217,11 @@ def test_a_value_split_between_reads_is_read_whole(tmp_path, text, windows):
     '{"entity": "E", "publications": [%s, 123]}' % _PUB,
     '{"entity": "E", "publications": []} \r\n x',
     '{"entity": "E", "publications": [%s]' % _PUB,
-], ids=["true", "number", "number-publication", "trailing-data", "truncated"])
+    '{}',
+    '{"entity" "E", "publications": []}',
+    '{"entity": "E", "publications": [],}',
+], ids=["true", "number", "number-publication", "trailing-data", "truncated", "no-field",
+        "no-colon", "trailing-comma"])
 def test_a_declined_text_split_between_reads_gets_the_whole_tree_message(tmp_path, text):
     path = tmp_path / "record.json"
     path.write_bytes(text.encode("utf-8"))

@@ -1,16 +1,18 @@
 """Library contract gate: whatever numbers a caller hands the numeric
 functions of core, coauthor and venue, the power-law formulas lotkaian_h
-and dynamic_h and Glänzel's H over a sample or discrete Pareto tail, a
-call returns a finite value or raises ValueError or a
-CitemetricsError subclass.  It never raises ZeroDivisionError,
-OverflowError or an internal TypeError, and never returns NaN or inf.
-This is the library's counterpart of tests/test_cli_fuzz.py.
+and dynamic_h, Glänzel's H over a sample or discrete Pareto tail and the
+knobs of a career simulation (SimConfig, then burrell_simulate), a call
+returns a finite value or raises ValueError or a CitemetricsError
+subclass.  It never raises ZeroDivisionError, OverflowError or an
+internal TypeError, and never returns NaN or inf.  This is the library's
+counterpart of tests/test_cli_fuzz.py.
 
 Records built in code are held to the same rule: validate_record rejects a
 record, or every report, window sequence and rendering of it ends in a
 value or a documented error, and it survives a round trip through
 record_to_dict and record_from_dict."""
 
+import dataclasses
 import inspect
 import math
 
@@ -22,7 +24,8 @@ from citemetrics import (CitationRecord, CitemetricsError, FieldProfile, IndexCo
                          Publication, RecordValidationError, TailFunction, coauthor,
                          compute_report, core, record_from_dict, record_to_dict,
                          report_to_jsonable, validate_record, venue)
-from citemetrics.aggregate import dynamic_h, glanzel_H, lotkaian_h
+from citemetrics.aggregate import (SimConfig, burrell_simulate, dynamic_h, glanzel_H,
+                                   lotkaian_h)
 from citemetrics.records import G_CONVENTIONS, SELF_CITATION_MODES
 from citemetrics.report import render_json
 from citemetrics.temporal import h_sequence
@@ -53,6 +56,15 @@ _TAILS = st.one_of(
     st.tuples(st.just(TailFunction.discrete_pareto),
               st.integers(1, 6) | st.floats(0.1, 6.0)
               | st.sampled_from([-1, 0, True, math.nan, math.inf, 10 ** 400])))
+
+
+def _simulated(config):
+    """Every number of the career summaries of config, when its ensemble is
+    small enough to draw in a test; none otherwise."""
+    if config.expected_size() > 2_000:
+        return []
+    return [value for summary in burrell_simulate(config)[1]
+            for value in dataclasses.astuple(summary)]
 
 
 def _fields(reference, field):
@@ -93,6 +105,10 @@ _CASES = {
     "aggregate.dynamic_h": (st.tuples(_NUMBER, _NUMBER, _NUMBER, _NUMBER), dynamic_h),
     "aggregate.glanzel_H": (st.tuples(_TAILS, _NUMBER),
                             lambda tail, n: glanzel_H(tail[0](tail[1]), n)),
+    # Small knobs mixed in, so that some ensembles are small enough to draw.
+    "aggregate.SimConfig": (st.tuples(*[st.integers(1, 3) | _NUMBER]
+                                      * len(dataclasses.fields(SimConfig))),
+                            lambda *knobs: _simulated(SimConfig(*knobs))),
 }
 
 

@@ -4,6 +4,7 @@ import gc
 import importlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -688,6 +689,27 @@ def test_missing_file_is_input_error(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_NUL = "a\x00.json"
+
+
+@pytest.mark.parametrize("argv, workers", [
+    (["compute", "--input", _NUL], False),
+    (["sequence", "--input", _NUL], False),
+    (["status", "--input", "a\x00.csv"], False),
+    *[([command, "--inputs", str(FIXTURES / "equal_h_cohort" / "A.json"), _NUL], workers)
+      for command in ("compare", "matrix", "successive", "group")
+      for workers in (False, True)],
+], ids=lambda value: value[0] if isinstance(value, list) else ("in-process", "workers")[value])
+def test_a_nul_in_a_path_is_input_error(capsys, monkeypatch, argv, workers):
+    if workers:  # two forked workers, whatever the inputs' size and the CPUs
+        monkeypatch.setattr(cli, "_POOL_MIN_BYTES", 0)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: {argv[-1]!r}: embedded null byte in the path\n"
+    assert multiprocessing.active_children() == []
 
 
 def test_validation_error_is_input_error(capsys, tmp_path):

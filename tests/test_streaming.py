@@ -264,3 +264,4 @@ def test_no_worker_outlives_a_command(capsys, tmp_path, command, code):
     except SystemExit as exc:
         result = exc.code
     assert result == code
+    assert cli._reduce is None
