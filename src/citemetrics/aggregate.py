@@ -12,15 +12,14 @@ only when a simulation runs, so the other commands start without it.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import _descending, _score_h, a_index, h_core_sum, h_index
 from .errors import DomainError, UndefinedInputError
-from .records import (INT64_MIN, CitationRecord, Publication, _finite, _plain_count,
-                      citation_vector, totals)
+from .records import (INT64_MIN, CitationRecord, Publication, _finite, _float_knob,
+                      _plain_count, citation_vector, totals)
 
 
 # What each group index reads from one member record; the index is the
@@ -199,9 +198,7 @@ class SimConfig:
             object.__setattr__(self, name, _plain_count(getattr(self, name), -math.inf,
                                                         name, math.inf))
         for name in ("pub_rate", "gamma_shape", "gamma_rate", "citation_rate_scale"):
-            value = getattr(self, name)
-            if isinstance(value, int) and abs(value) > sys.float_info.max:
-                object.__setattr__(self, name, math.inf if value > 0 else -math.inf)
+            object.__setattr__(self, name, _float_knob(getattr(self, name)))
         if self.seed < 0:
             raise DomainError("seed must be non-negative")
         if self.careers < 1 or self.career_years < 1:

@@ -5,7 +5,10 @@ field / cohort indicators.
 Exit codes: 0 success (including partial reports with unavailable indices),
 2 usage error, 3 input error, 4 domain error.  Every usage check is made
 before the first file is read; then the inputs are handled in order and the
-first one that fails decides the exit code.  The multi-record commands
+first one that fails decides the exit code.  A command returns its text,
+after writing its --emit-plot file; main alone writes that text to stdout or
+--output and sets the exit code, so a failing command, or an unwritable plot
+or output path (exit 3), writes nothing to stdout.  The multi-record commands
 reduce and drop each record before they read the next file.  When their
 inputs are large enough to repay it (_POOL_MIN_BYTES), forked worker
 processes, one per usable CPU, each parse and reduce one input at a time;
@@ -151,17 +154,9 @@ def _config_from(parser, args):
         parser.error(str(exc))
 
 
-def _emit(text, args):
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_metrics(rows, args):
+def _metrics(rows, fmt):
     table = [[key, str(value)] for key, value in rows]
-    _emit(report_mod.render(args.format, dict(rows), [("metric", "value"), *rows],
-                            table), args)
+    return report_mod.render(fmt, dict(rows), [("metric", "value"), *rows], table)
 
 
 def _indices_arg(parser, args):
@@ -176,11 +171,10 @@ def cmd_compute(parser, args):
     indices = _indices_arg(parser, args)
     rep = report_mod.compute_report(parse_record(args.input), config, indices,
                                     strict=args.strict)
-    _emit(report_mod.render_report(rep, args.format), args)
     if args.emit_plot:
         Path(args.emit_plot).write_text(report_mod.plot_series_csv([rep]),
                                         encoding="utf-8")
-    return 0
+    return report_mod.render_report(rep, args.format)
 
 
 def cmd_compare(parser, args):
@@ -204,11 +198,10 @@ def cmd_compare(parser, args):
             missing = value is None
             return (missing, -(value if not missing else 0), rep.entity)
         reports = sorted(reports, key=sort_key)
-    _emit(report_mod.render_compare(reports, indices, args.format), args)
     if args.emit_plot:
         Path(args.emit_plot).write_text(report_mod.plot_series_csv(reports),
                                         encoding="utf-8")
-    return 0
+    return report_mod.render_compare(reports, indices, args.format)
 
 
 def cmd_sequence(parser, args):
@@ -221,29 +214,25 @@ def cmd_sequence(parser, args):
     rows = [["start_year", "end_year", "h"]]
     rows += [[s, seq.end_year, h] for s, h in windows]
     table = [["window", "h"]] + [[f"{s}-{seq.end_year}", str(h)] for s, h in windows]
-    _emit(report_mod.render(args.format, payload, rows, table,
-                            title=f"entity  {record.entity}"), args)
-    return 0
+    return report_mod.render(args.format, payload, rows, table,
+                             title=f"entity  {record.entity}")
 
 
 def cmd_matrix(parser, args):
     config = _config_from(parser, args)
     matrix = _stack_rows(_reduce_inputs(
         lambda record: _matrix_row(record, config, args.truncate_events), args.inputs))
-    width = len(matrix.rows[0]) if matrix.rows else 0
     payload = {"entities": list(matrix.entities),
                "rows": [list(row) for row in matrix.rows]}
-    rows = [["entity", *range(width)]]
+    rows = [["entity", *range(len(matrix.rows[0]))]]
     rows += [[entity, *row] for entity, row in zip(matrix.entities, matrix.rows)]
-    _emit(report_mod.render(args.format, payload, rows, None), args)
-    return 0
+    return report_mod.render(args.format, payload, rows, None)
 
 
 def cmd_group(parser, args):
     from .aggregate import _group_scores, _member_reader
     rows = _reduce_inputs(_member_reader(args.keys), args.inputs)
-    _emit_metrics(list(_group_scores(rows, args.keys).items()), args)
-    return 0
+    return _metrics(list(_group_scores(rows, args.keys).items()), args.format)
 
 
 def cmd_simulate(parser, args):
@@ -254,8 +243,7 @@ def cmd_simulate(parser, args):
     rows = [header] + [list(c.values()) for c in careers]
     table = [header] + [[report_mod.format_value(k, v) for k, v in c.items()]
                         for c in careers]
-    _emit(report_mod.render(args.format, {"careers": careers}, rows, table), args)
-    return 0
+    return report_mod.render(args.format, {"careers": careers}, rows, table)
 
 
 def cmd_journal(parser, args):
@@ -275,8 +263,7 @@ def cmd_journal(parser, args):
         rows.append(("relative_h", relative_h(args.h, articles_in_year)))
         rows.append(("sri", sri(args.h, args.articles)))
         rows.append(("impact_index", impact_index_hm(args.h, args.articles, *beta)))
-    _emit_metrics(rows, args)
-    return 0
+    return _metrics(rows, args.format)
 
 
 def cmd_field(parser, args):
@@ -302,8 +289,7 @@ def cmd_field(parser, args):
                                             literal_radical=args.literal_radical)))
     if args.nc is not None:
         rows.append(("h_vanraan", vanraan_diagnostic(args.nc)))
-    _emit_metrics(rows, args)
-    return 0
+    return _metrics(rows, args.format)
 
 
 def cmd_status(parser, args):
@@ -314,10 +300,9 @@ def cmd_status(parser, args):
     residuals = research_status(points)
     cohort = [[*point, r] for point, (_, r) in zip(points, residuals)]
     table = [header] + [[e, str(n), str(h), f"{r:.4f}"] for e, n, h, r in cohort]
-    _emit(report_mod.render(args.format,
-                            {"cohort": [dict(zip(header, row)) for row in cohort]},
-                            [header, *cohort], table), args)
-    return 0
+    return report_mod.render(args.format,
+                             {"cohort": [dict(zip(header, row)) for row in cohort]},
+                             [header, *cohort], table)
 
 
 def build_parser():
@@ -417,14 +402,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        text = args.func(parser, args)
+        if args.output:
+            Path(args.output).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        return 0
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -20,6 +20,7 @@ import gc
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
@@ -55,6 +56,15 @@ def _plain_count(value, low=0, name="citation count", high=INT64_MAX):
         raise ValueError(f"{name} {value} is below {low}")
     if value > high:
         raise ValueError(f"{name} {value} does not fit in a signed 64-bit integer")
+    return value
+
+
+def _float_knob(value):
+    """A float knob as stored: an int too large for a float becomes an
+    infinite float, so the knob's range check rejects it as it rejects inf;
+    any other value is kept as given."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return math.inf if value > 0 else -math.inf
     return value
 
 
@@ -148,6 +158,8 @@ class IndexConfig:
     beta_molinari: float = 0.4
 
     def __post_init__(self):
+        for name in ("gamma", "delta", "alpha_predictive", "beta_molinari"):
+            object.__setattr__(self, name, _float_knob(getattr(self, name)))
         if self.g_convention not in G_CONVENTIONS:
             raise ValueError(f"unknown g_convention {self.g_convention!r}")
         if self.self_citation_mode not in SELF_CITATION_MODES:
@@ -298,14 +310,12 @@ def filter_self_citations(record, mode="include"):
     if mode == "exclude_own" and owner is None:
         raise FidelityError(
             f"record {record.entity!r}: exclude_own needs owner_name to be set")
-    pubs = record.publications
-    for pub in pubs:
-        require_events(pub, "self-citation filtering")
     # Each publication is decided on its own: an event is a self-citation
     # when one of its citing names normalizes to an identity blocked for
     # this publication.
     new_pubs = []
-    for pub in pubs:
+    for pub in record.publications:
+        require_events(pub, "self-citation filtering")
         blocked = {owner} if mode == "exclude_own" else {
             owner, *map(normalize_author, pub.authors)}
         keep = [blocked.isdisjoint(map(normalize_author, citers)) for citers in pub.event_citers]

@@ -110,6 +110,8 @@ def test_dynamic_h_cases():
     assert dynamic_h(100, 2.0, 0.5, 1) == pytest.approx(math.sqrt(50))
     with pytest.raises(DomainError):
         dynamic_h(100, 2.0, 1.5, 3)
+    with pytest.raises(DomainError, match="time must be non-negative"):
+        dynamic_h(100, 2.0, 0.5, -1)
 
 
 def test_dynamic_h_monotone_and_converges():

@@ -1,7 +1,8 @@
 """Library contract gate: whatever numbers a caller hands the numeric
 functions of core, coauthor and venue, the power-law formulas lotkaian_h
 and dynamic_h, Glänzel's H over a sample or discrete Pareto tail and the
-knobs of a career simulation (SimConfig, then burrell_simulate), a call
+knobs of a career simulation (SimConfig, then burrell_simulate) and the
+float knobs of an IndexConfig (then a report of a small record), a call
 returns a finite value or raises ValueError or a CitemetricsError
 subclass.  It never raises ZeroDivisionError, OverflowError or an
 internal TypeError, and never returns NaN or inf.  This is the library's
@@ -67,6 +68,19 @@ def _simulated(config):
             for value in dataclasses.astuple(summary)]
 
 
+# A small event-level record to report under each drawn config.
+_EVENT_RECORD = CitationRecord(entity="E", owner_name="Ann Lee", publications=tuple(
+    Publication(id=f"p{i}", year=2000 + i, authors=("Ann Lee",),
+                event_years=(2001 + i,) * (4 - i), event_citers=(("Ann Lee",),) + ((),) * (3 - i))
+    for i in range(4)))
+
+
+def _reported(gamma, delta, alpha_predictive, beta_molinari):
+    config = IndexConfig(gamma=gamma, delta=delta, alpha_predictive=alpha_predictive,
+                         beta_molinari=beta_molinari)
+    return list(compute_report(_EVENT_RECORD, config).values.values())
+
+
 def _fields(reference, field):
     return FieldProfile("reference", reference), FieldProfile("field", field)
 
@@ -109,6 +123,7 @@ _CASES = {
     "aggregate.SimConfig": (st.tuples(*[st.integers(1, 3) | _NUMBER]
                                       * len(dataclasses.fields(SimConfig))),
                             lambda *knobs: _simulated(SimConfig(*knobs))),
+    "records.IndexConfig": (st.tuples(_NUMBER, _NUMBER, _NUMBER, _NUMBER), _reported),
 }
 
 
@@ -120,7 +135,7 @@ def test_every_numeric_public_function_is_gated():
               and not name.startswith("_")}
     # authored_vector reads a record, not numbers
     assert public - {"coauthor.authored_vector"} == {
-        name for name in _CASES if not name.startswith("aggregate.")}
+        name for name in _CASES if not name.startswith(("aggregate.", "records."))}
 
 
 def _finite_result(value):

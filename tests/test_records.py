@@ -130,6 +130,11 @@ def test_parse_events_csv(tmp_path):
     assert p2.citation_events == ()
 
 
+def test_a_publication_without_citation_data_has_no_citation_total():
+    with pytest.raises(RecordValidationError, match="publication 'p' carries no citation data"):
+        Publication(id="p", year=2000).citations()
+
+
 def test_events_csv_inconsistent_pub_year(tmp_path):
     path = tmp_path / "rec.csv"
     path.write_text("pub_id,pub_year,author_count,cite_year,citing_authors\n"

@@ -691,6 +691,31 @@ def test_missing_file_is_input_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("output", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("command", ["compute", "compare"])
+def test_an_unwritable_plot_path_writes_no_result(capsys, tmp_path, command, output):
+    inputs = [str(FIXTURES / "equal_h_cohort" / name) for name in ("A.json", "B.json")]
+    argv = (["compute", "--input", inputs[0]] if command == "compute"
+            else ["compare", "--inputs", *inputs])
+    argv += ["--emit-plot", str(_A_FILE / "plot.csv")]
+    out_path = tmp_path / "out.txt"
+    if output:
+        argv += ["--output", str(out_path)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
+def test_a_plot_written_before_an_unwritable_output_stays(capsys, tmp_path):
+    plot = tmp_path / "plot.csv"
+    code, out, _ = _run(capsys, ["compute", "--input",
+                                 str(FIXTURES / "equal_h_cohort" / "A.json"),
+                                 "--emit-plot", str(plot), "--output", str(_A_FILE / "out.txt")])
+    assert (code, out) == (3, "")
+    assert plot.read_text().startswith("series,entity,x,y\n")
+
+
 _NUL = "a\x00.json"
 
 

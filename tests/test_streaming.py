@@ -123,6 +123,15 @@ def tracker(monkeypatch):
     return tracker
 
 
+def test_without_sched_getaffinity_a_command_reduces_in_process(
+        capsys, tmp_path, monkeypatch, tracker):
+    monkeypatch.setattr(cli, "_POOL_MIN_BYTES", 0)
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    _assert_pinned(_run, capsys, tmp_path, "group", "json")
+    # A worker's parses would not reach this process's tracker.
+    assert tracker.calls == len(list(tmp_path.glob("*.json")))
+
+
 def _fixture_paths():
     return [str(p) for p in sorted(FIXTURES.glob("*/*.json"))]
 
