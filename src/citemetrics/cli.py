@@ -12,9 +12,9 @@ or output path (exit 3), writes nothing to stdout.  The multi-record commands
 reduce and drop each record before they read the next file.  When their
 inputs are large enough to repay it (_POOL_MIN_BYTES), forked worker
 processes, one per usable CPU, each parse and reduce one input at a time;
-each worker's error reaches the parent through Pool.imap at its input's
+each worker's error reaches the parent through the pool's map at its input's
 position, so later inputs may be read before an earlier one fails, with the
-same output and exit code.
+same output and exit code.  A killed worker ends the command with exit 3.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ _INPUT_ERRORS = (RecordParseError, RecordValidationError, FidelityError, OSError
 _DOMAIN_ERRORS = (DomainError, UndefinedInputError, DegenerateCohortError)
 
 # Total input size, in bytes, from which the multi-record commands reduce
-# their inputs in worker processes.  A pool costs about 40 ms to import,
-# start and stop, and parsing and reducing runs at about 17 MB/s (6.9 MB of
-# records in ~0.4 s per command).  Two workers halve that time, so they
-# save time once size / 17 MB/s / 2 exceeds 40 ms: from about 1.4 MB.
-_POOL_MIN_BYTES = 1_400_000
+# their inputs in worker processes: where two workers broke even with one
+# process for `compare --indices h,g,a,r` over growing prefixes of a
+# 200-record cohort on a 2-vCPU host (median 0.165 / 0.186 s in-process /
+# pooled at 1.5 MB, 0.200 / 0.189 s at 1.6 MB, 0.214 / 0.201 s at 2.0 MB).
+_POOL_MIN_BYTES = 1_600_000
 
 
 def _input_bytes(paths):
@@ -70,7 +70,12 @@ def _pool_size(paths):
     return workers if threading.active_count() == 1 else 0
 
 
-_reduce = None  # the command's reduce while a pool runs; the workers fork with it
+_reduce = None  # the command's reduce, in a worker process
+
+
+def _start_worker(reduce):
+    global _reduce
+    _reduce = reduce
 
 
 def _reduce_path(path):
@@ -80,27 +85,27 @@ def _reduce_path(path):
 def _reduce_inputs(reduce, paths):
     """[reduce(parse_record(path)) for path in paths], in input order, and
     the error of the first input that fails.  With a pool, forked workers
-    each hold one record at a time and send back only its reduction, and
-    every worker has exited when this returns or raises.  fork, not spawn:
-    a spawned worker would import the package again and could not read a
-    reduce that is a closure."""
-    global _reduce
+    each hold one record at a time and send back only its reduction; a
+    killed worker is an OSError, and every worker has exited when this
+    returns or raises.  fork, not spawn: a spawned worker would import the
+    package again and could not take a reduce that is a closure."""
     workers = _pool_size(paths)
     if not workers:
         return [reduce(parse_record(path)) for path in paths]
     import multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
     sys.stdout.flush()  # a forked worker must not hold unwritten output
     sys.stderr.flush()
-    _reduce = reduce  # unraced: _pool_size pools only in a one-thread process
     try:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 _start_worker, (reduce,)) as pool:
             # A few chunks per worker: fewer round trips than one input each,
             # and a worker that draws the larger files holds the others up less
             # than with one chunk each.
-            return list(pool.imap(_reduce_path, paths,
-                                  chunksize=max(1, len(paths) // (4 * workers))))
-    finally:
-        _reduce = None
+            return list(pool.map(_reduce_path, paths,
+                                 chunksize=max(1, len(paths) // (4 * workers))))
+    except BrokenExecutor as exc:  # a worker was killed
+        raise OSError(exc) from exc
 
 
 def _int_flag(text):
@@ -408,9 +413,6 @@ def main(argv=None):
         else:
             sys.stdout.write(text)
         return 0
-    except _INPUT_ERRORS as exc:
+    except _INPUT_ERRORS + _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 4 if isinstance(exc, _DOMAIN_ERRORS) else 3

@@ -1175,11 +1175,12 @@ def test_cli_import_leaves_numpy_out():
 def test_compute_leaves_aggregate_and_venue_unimported(tmp_path):
     # Each command imports only the modules it runs, and a report's exact
     # arithmetic and median need no fractions, decimal or statistics.  Only
-    # the multi-record commands' worker pool imports multiprocessing.  The
-    # record has events, an owner and author counts, so all 23 keys run.
+    # the multi-record commands' worker pool imports multiprocessing and
+    # concurrent.futures.  The record has events, an owner and author
+    # counts, so all 23 keys run.
     write_record(_OWNED, tmp_path / "owned.json")
     unwanted = ("citemetrics.aggregate", "citemetrics.venue", "fractions", "decimal",
-                "statistics", "multiprocessing")
+                "statistics", "multiprocessing", "concurrent.futures")
     script = ("import sys; from citemetrics.cli import main; code = main(sys.argv[1:]); "
               f"print(code, [m for m in {unwanted!r} if m in sys.modules], file=sys.stderr)")
     result = subprocess.run(

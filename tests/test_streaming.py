@@ -5,7 +5,9 @@ first failing input) and the output of every streaming command on a seeded
 cohort, byte for byte, with and without workers."""
 
 import multiprocessing
+import os
 import random
+import signal
 import weakref
 
 import pytest
@@ -92,6 +94,42 @@ def test_seeded_cohort_output_is_pinned(capsys, tmp_path, case, fmt):
 @pytest.mark.parametrize("case", sorted(_PARITY_CASES))
 def test_workers_print_the_pinned_output(capsys, tmp_path, case, fmt):
     _assert_pinned(_with_workers, capsys, tmp_path, case, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_workers_print_the_compare_golden_and_its_plot(capsys, tmp_path, fmt):
+    # test_report_cli.py's compare_classified case of test_command_golden.
+    plot = tmp_path / "plot.csv"
+    classified = sorted((FIXTURES / "classified_authors").glob("*.json"))
+    argv = ["compare", "--inputs", *map(str, classified), "--indices", "h,g,a,r",
+            "--format", fmt, "--emit-plot", str(plot)]
+    code, out, err = _with_workers(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "commands" / f"compare_classified.{fmt}.txt").read_text()
+    assert plot.read_text() == (GOLDEN / "commands" / "compare_classified.plot.csv").read_text()
+
+
+def test_a_killed_worker_ends_the_command(capsys, tmp_path, monkeypatch):
+    # A worker killed mid-task (as by the OOM killer) is an input error.  A
+    # pool that waits for the killed worker's task forever fails the alarm.
+    paths = seeded_cohort(tmp_path)
+    parent, parse = os.getpid(), cli.parse_record
+
+    def parse_or_die(path):
+        if path == paths[5] and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return parse(path)
+
+    monkeypatch.setattr(cli, "parse_record", parse_or_die)
+    previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the command hung"))
+    signal.alarm(20)
+    try:
+        code, out, err = _with_workers(capsys, ["group", "--inputs", *paths])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class ParseTracker:
