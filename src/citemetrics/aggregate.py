@@ -122,11 +122,12 @@ class TailFunction:
     @classmethod
     def discrete_pareto(cls, exponent):
         """G(k) = k**(-exponent) for k >= 1 (the Price special case is this
-        with its own exponent); exact fractions when the exponent is integral."""
+        with its own exponent); exact fractions for an integral exponent up to 1,074."""
         power = _finite(lambda: exponent, "tail exponent")
         if power <= 0:
             raise DomainError("tail exponent must be positive")
-        if power.is_integer():
+        # Past 1,074 the float G(k) is 0.0 for k >= 2, and k ** whole is unbounded.
+        if power.is_integer() and power <= 1074:
             whole = int(exponent)
 
             def survival(k):
@@ -155,14 +156,8 @@ def glanzel_H(tail, n):
     low, high = 0, 1  # reaches(low) holds (or low is 0); high is the next rank to try
     while high <= n and reaches(high):
         low, high = high, min(2 * high, n + 1)
-    # H lies in [low, high): bisect, keeping reaches(low) and not reaches(high)
-    while high - low > 1:
-        middle = (low + high) // 2
-        if reaches(middle):
-            low = middle
-        else:
-            high = middle
-    return low
+    # H lies in [low, high): the ranks after low reach r up to H and fail after it
+    return low + bisect_left(range(low + 1, high), True, key=lambda r: not reaches(r))
 
 
 # Largest expected ensemble, in career-years plus publications plus citation

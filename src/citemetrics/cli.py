@@ -14,7 +14,8 @@ inputs are large enough to repay it (_POOL_MIN_BYTES), forked worker
 processes, one per usable CPU, each parse and reduce one input at a time;
 each worker's error reaches the parent through the pool's map at its input's
 position, so later inputs may be read before an earlier one fails, with the
-same output and exit code.  A killed worker ends the command with exit 3.
+same output and exit code; after it, each worker finishes at most the input
+it is reading.  A killed worker ends the command with exit 3.
 """
 
 from __future__ import annotations
@@ -71,24 +72,26 @@ def _pool_size(paths):
 
 
 _reduce = None  # the command's reduce, in a worker process
+_stop = None  # released once an input has failed, in a worker process
 
 
-def _start_worker(reduce):
-    global _reduce
-    _reduce = reduce
+def _start_worker(reduce, stop):
+    global _reduce, _stop
+    _reduce, _stop = reduce, stop
 
 
 def _reduce_path(path):
-    return _reduce(parse_record(path))
+    if not _stop.get_value():  # once an input has failed, later results are never read
+        return _reduce(parse_record(path))
 
 
 def _reduce_inputs(reduce, paths):
-    """[reduce(parse_record(path)) for path in paths], in input order, and
-    the error of the first input that fails.  With a pool, forked workers
-    each hold one record at a time and send back only its reduction; a
-    killed worker is an OSError, and every worker has exited when this
-    returns or raises.  fork, not spawn: a spawned worker would import the
-    package again and could not take a reduce that is a closure."""
+    """[reduce(parse_record(path)) for path in paths], in input order, and the
+    error of the first input that fails.  With a pool, forked workers each
+    hold one record at a time, send back only its reduction and start no input
+    after an error; a killed worker is an OSError, and every worker has exited
+    when this returns or raises.  fork, not spawn: a spawned worker would
+    import the package again and could not take a reduce that is a closure."""
     workers = _pool_size(paths)
     if not workers:
         return [reduce(parse_record(path)) for path in paths]
@@ -96,16 +99,20 @@ def _reduce_inputs(reduce, paths):
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
     sys.stdout.flush()  # a forked worker must not hold unwritten output
     sys.stderr.flush()
+    context = multiprocessing.get_context("fork")
+    stop = context.Semaphore(0)  # a flag workers only read, so a killed one holds no lock
+    pool = ProcessPoolExecutor(workers, context, _start_worker, (reduce, stop))
     try:
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                 _start_worker, (reduce,)) as pool:
-            # A few chunks per worker: fewer round trips than one input each,
-            # and a worker that draws the larger files holds the others up less
-            # than with one chunk each.
-            return list(pool.map(_reduce_path, paths,
-                                 chunksize=max(1, len(paths) // (4 * workers))))
+        # A few chunks per worker: fewer round trips than one input each,
+        # and a worker that draws the larger files holds the others up less
+        # than with one chunk each.
+        return list(pool.map(_reduce_path, paths,
+                             chunksize=max(1, len(paths) // (4 * workers))))
     except BrokenExecutor as exc:  # a worker was killed
         raise OSError(exc) from exc
+    finally:
+        stop.release()  # the chunks still queued after an error skip their inputs
+        pool.shutdown()
 
 
 def _int_flag(text):

@@ -59,13 +59,10 @@ def select_indices(selection):
         return REPORT_INDEX_KEYS
     keys = ([k.strip() for k in selection.split(",")]
             if isinstance(selection, str) else list(selection))
-    seen = []
     for key in keys:
         if key not in REPORT_INDEX_KEYS:
             raise KeyError(key)
-        if key not in seen:
-            seen.append(key)
-    return tuple(seen)
+    return tuple(dict.fromkeys(keys))
 
 
 def _config_echo(view):

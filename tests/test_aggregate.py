@@ -1,5 +1,6 @@
 import math
 import random
+import textwrap
 import time
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ from citemetrics import (CitationRecord, DomainError, Publication, SimConfig,
                          totals)
 from citemetrics.aggregate import MAX_SIMULATION_SIZE
 from citemetrics.cli import main
-from vector_oracles import oracle_glanzel_H
+from conftest import run_bounded
+from vector_oracles import oracle_glanzel_H, oracle_pareto_glanzel_H
 
 
 def _member(entity, counts):
@@ -154,6 +156,27 @@ def test_glanzel_discrete_pareto_float_exponents():
        st.integers(min_value=1, max_value=60))
 def test_glanzel_matches_oracle(sample, n):
     assert glanzel_H(TailFunction.from_sample(sample), n) == oracle_glanzel_H(sample, n)
+
+
+@given(st.integers(1, 6) | st.floats(1.0, 6.0), st.integers(min_value=1, max_value=60))
+def test_glanzel_on_pareto_tails_matches_oracle(exponent, n):
+    assert (glanzel_H(TailFunction.discrete_pareto(exponent), n)
+            == oracle_pareto_glanzel_H(exponent, n))
+
+
+def test_an_exponent_past_the_float_range_gives_a_zero_tail():
+    # An exact k ** exponent would take memory without bound as the exponent
+    # grows, so the calls run in a child whose memory is capped.
+    child = run_bounded(textwrap.dedent("""
+        from fractions import Fraction
+        from citemetrics import TailFunction, glanzel_H
+        for exponent in (1e300, 2 ** 1000, 1075):
+            tail = TailFunction.discrete_pareto(exponent)
+            assert tail.survival(2) == 0, exponent
+            assert [glanzel_H(tail, n) for n in (10, 2 ** 63 - 1)] == [1, 1], exponent
+        assert TailFunction.discrete_pareto(1074).survival(2) == Fraction(1, 2 ** 1074)
+        """))
+    assert (child.returncode, child.stderr) == (0, "")
 
 
 def test_glanzel_reads_the_tail_at_most_H_plus_one_times():

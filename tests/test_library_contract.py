@@ -51,12 +51,14 @@ _SHARES = st.none() | st.lists(_NUMBER | st.floats(min_value=0.01, max_value=1.0
 
 
 # A tail to build: from a sample of counts, or discrete Pareto with an
-# exponent (ordinary, or one no float or tail can take).
+# exponent (ordinary, one no float or tail can take, or one whose exact
+# powers would take memory without bound).
 _TAILS = st.one_of(
     st.tuples(st.just(TailFunction.from_sample), _COUNTS),
     st.tuples(st.just(TailFunction.discrete_pareto),
               st.integers(1, 6) | st.floats(0.1, 6.0)
-              | st.sampled_from([-1, 0, True, math.nan, math.inf, 10 ** 400])))
+              | st.sampled_from([-1, 0, True, math.nan, math.inf, 10 ** 400,
+                                 1e300, 2 ** 1000])))
 
 
 def _simulated(config):

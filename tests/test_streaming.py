@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import random
 import signal
+import time
 import weakref
 
 import pytest
@@ -289,6 +290,36 @@ def test_workers_stop_matrix_at_its_first_failing_input(capsys, tmp_path):
     assert _run(capsys, argv) == (code, "", err)
 
 
+def test_workers_stop_at_the_first_failing_input(capsys, tmp_path, monkeypatch):
+    # Input 1 of 200 is missing.  With two workers a chunk holds 200 // 8 = 25
+    # inputs, and more chunks than one are queued behind the failing one.
+    paths = [_counts_record(tmp_path / f"r{i:03d}.json", f"r{i}", [2000])
+             for i in range(200)]
+    chunk = len(paths) // (4 * 2)
+    paths[1] = str(tmp_path / "missing.json")
+    argv = ["group", "--inputs", *paths]
+    in_process = _run(capsys, argv)
+    assert in_process[0] == 3 and "missing.json" in in_process[2]
+
+    read, write = os.pipe()
+    parse = cli.parse_record
+
+    def parse_slowly(path):
+        os.write(write, f"{path}\n".encode())
+        record = parse(path)
+        time.sleep(0.05)
+        return record
+
+    monkeypatch.setattr(cli, "parse_record", parse_slowly)
+    try:
+        assert _with_workers(capsys, argv) == in_process
+        parsed = os.read(read, 1 << 16).decode().split()  # every worker has exited
+    finally:
+        os.close(read)
+        os.close(write)
+    assert len([path for path in parsed if paths.index(path) > 1]) < chunk
+
+
 def _exit_argv(tmp_path, command, code):
     """argv for command that ends in exit code."""
     fine = [_counts_record(tmp_path / f"{name}.json", name, [2000, 2001])
@@ -311,4 +342,4 @@ def test_no_worker_outlives_a_command(capsys, tmp_path, command, code):
     except SystemExit as exc:
         result = exc.code
     assert result == code
-    assert cli._reduce is None
+    assert cli._reduce is None and cli._stop is None

@@ -266,3 +266,22 @@ def oracle_glanzel_H(sample, n):
         return max(k for k in range(max(sample) + 1) if survival(k) >= Fraction(r, n))
 
     return max((r for r in range(1, n + 1) if u(r) >= r), default=0)
+
+
+def oracle_pareto_glanzel_H(exponent, n):
+    """Glänzel's H of the discrete Pareto tail G(k) = k**-exponent, k >= 1,
+    against sample size n, as in oracle_glanzel_H: every u_r found by trying
+    k = 1, 2, ... until G(k + 1) falls below r/n.  G(k) is an exact fraction
+    for an integral exponent and the float k**-exponent otherwise."""
+    def survival(k):
+        if float(exponent).is_integer():
+            return Fraction(1, k ** int(exponent))
+        return float(k) ** -exponent
+
+    def u(r):
+        k = 1
+        while survival(k + 1) >= Fraction(r, n):
+            k += 1
+        return k
+
+    return max((r for r in range(1, n + 1) if u(r) >= r), default=0)
