@@ -3,19 +3,19 @@ rank records, window sequences, group indices, simulation and the journal /
 field / cohort indicators.
 
 Exit codes: 0 success (including partial reports with unavailable indices),
-2 usage error, 3 input error, 4 domain error.  Every usage check is made
-before the first file is read; then the inputs are handled in order and the
-first one that fails decides the exit code.  A command returns its text,
-after writing its --emit-plot file; main alone writes that text to stdout or
---output and sets the exit code, so a failing command, or an unwritable plot
-or output path (exit 3), writes nothing to stdout.  The multi-record commands
-reduce and drop each record before they read the next file.  When their
-inputs are large enough to repay it (_POOL_MIN_BYTES), forked worker
-processes, one per usable CPU, each parse and reduce one input at a time;
-each worker's error reaches the parent through the pool's map at its input's
-position, so later inputs may be read before an earlier one fails, with the
-same output and exit code; after it, each worker finishes at most the input
-it is reading.  A killed worker ends the command with exit 3.
+2 usage error, 3 input error or out of memory, 4 domain error.  Every usage
+check is made before the first file is read; then the inputs are handled in
+order and the first one that fails decides the exit code.  A command
+returns its text, after writing its --emit-plot file; main alone writes that
+text to stdout or --output and sets the exit code, so a failing command, or
+an unwritable plot or output path (exit 3), writes nothing to stdout.  The
+multi-record commands reduce and drop each record before they read the next
+file.  When their inputs are large enough to repay it (_POOL_MIN_BYTES),
+forked worker processes, one per usable CPU, each parse and reduce one input
+at a time; each worker's error reaches the parent through the pool's map at
+its input's position, so later inputs may be read before an earlier one
+fails, with the same output and exit code; after it, each worker finishes at
+most the input it is reading.  A killed worker ends the command with exit 3.
 """
 
 from __future__ import annotations
@@ -423,3 +423,6 @@ def main(argv=None):
     except _INPUT_ERRORS + _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, _DOMAIN_ERRORS) else 3
+    except MemoryError:  # its message is empty
+        print("error: out of memory", file=sys.stderr)
+        return 3

@@ -27,7 +27,7 @@ def _entries(av):
 def _h_core_authors(av):
     """The author counts of the h-core, in rank order."""
     entries = _entries(av)
-    return [a for _, a in entries[:_threshold_rank(c for c, _ in entries)]]
+    return [a for _, a in entries[:_threshold_rank([c for c, _ in entries])]]
 
 
 def hi_index(av, center="mean"):
@@ -79,7 +79,7 @@ def schreiber_hm(av):
     multiple of the author counts, and the float is num / den, rounded
     once."""
     entries = _entries(av)
-    h = _threshold_rank(c for c, _ in entries)
+    h = _threshold_rank([c for c, _ in entries])
     papers = Counter(a for _, a in entries[:h])  # author count -> papers
     num, den = _fold(((m, a) for a, m in papers.items()), _add_ratios, (0, 1))
     for count, n_authors in entries[h:]:

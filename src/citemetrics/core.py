@@ -6,20 +6,23 @@ counts in any order, checked by records._plain_count and sorted first.  All
 indices return 0 on empty vectors, and forms that divide by h are defined
 as 0 when h is 0.
 
-The threshold scans (h, h2, w, g, f, t, h_w) stop at their first failing
-rank.  That is exact: the tested quantity (a count, the top-k arithmetic,
-harmonic or geometric mean, or h_w's weighted rank against a falling count)
+The largest passing rank of h, h2, w, g and h_w is one bisection over the
+ranks (_threshold_rank).  That is exact: the tested quantity (a count, the
+top-k arithmetic mean, or h_w's weighted rank against a falling count)
 never moves toward the threshold as the rank grows, nor the threshold
-toward it.  In f and t every rank up to h passes: there c_k >= k, so the
-top-k product is at least k**k and the top-k reciprocal sum at most
-k/c_k <= 1.  Their scans start past h, from the h-core's product or
-reciprocal sum built once as a balanced tree.
+toward it, so the ranks that pass come before those that fail.  In f and t
+every rank up to h passes: there c_k >= k, so the top-k product is at
+least k**k and the top-k reciprocal sum at most k/c_k <= 1.  Their scans
+start past h, from the h-core's product or reciprocal sum built once as a
+balanced tree, and stop at the first failing rank.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
+from itertools import accumulate
 
 from .errors import DomainError
 from .records import G_CONVENTIONS, CitationVector, _finite, _plain_count
@@ -32,16 +35,13 @@ def _descending(v):
 
 
 def _threshold_rank(counts, threshold=lambda rank: rank):
-    """Largest rank whose count reaches threshold(rank), the counts read as
-    they are, in descending order; by default the threshold is the rank
-    itself, which gives h."""
-    best = 0
-    for rank, count in enumerate(counts, start=1):
-        if count >= threshold(rank):
-            best = rank
-        else:
-            break
-    return best
+    """Largest rank whose count reaches threshold(rank), found by bisection
+    over counts, a sequence read as it is: every rank that passes must come
+    before every rank that fails, as it does for descending counts and a
+    rising threshold.  By default the threshold is the rank itself, which
+    gives h."""
+    return bisect_left(range(1, len(counts) + 1), True,
+                       key=lambda rank: counts[rank - 1] < threshold(rank))
 
 
 def _score_h(scores):
@@ -64,13 +64,11 @@ def g_index(v, convention="bounded"):
     """
     if convention not in G_CONVENTIONS:
         raise ValueError(f"unknown g convention {convention!r}")
-    counts = _descending(v)
-    running = 0
-    for g, count in enumerate(counts, start=1):
-        running += count
-        if running < g * g:
-            return g - 1
-    return len(counts) if convention == "bounded" else math.isqrt(running)
+    running = list(accumulate(_descending(v)))
+    g = _threshold_rank(running, lambda g: g * g)
+    if g < len(running) or convention == "bounded":
+        return g
+    return math.isqrt(running[-1]) if running else 0
 
 
 def _h_core(v):
@@ -102,15 +100,10 @@ def hw_index(v):
     h = _threshold_rank(counts)
     if h == 0:
         return 0.0
-    running = 0
-    kept = 0
-    for rank, count in enumerate(counts, start=1):
-        running += count
-        if running <= h * count:  # r_w(rank) = running/h <= count, exactly
-            kept = running
-        else:
-            break
-    return math.sqrt(kept)
+    running = list(accumulate(counts))
+    # the last kept rank: r_w(rank) = running/h <= count, exactly; rank 1 passes
+    kept = _threshold_rank([h * c for c in counts], lambda rank: running[rank - 1])
+    return math.sqrt(running[kept - 1])
 
 
 def h2_index(v):

@@ -181,7 +181,8 @@ class IndexConfig:
 
 @dataclass(frozen=True)
 class CitationVector:
-    """Citation counts sorted descending."""
+    """Citation counts sorted descending; the indices read them as they are,
+    so out of order they give an unspecified rank."""
 
     counts: tuple
 

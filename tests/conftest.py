@@ -15,16 +15,17 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_bounded(snippet, memory=512 * 2 ** 20, timeout=20):
-    """Run snippet with `python -c` in a child whose address space is capped
-    at memory bytes, so code that would take memory without bound fails in
-    the child with a MemoryError; waits at most timeout seconds
-    (subprocess.TimeoutExpired after that) and returns the finished process,
-    its output as text."""
+def run_bounded(command, memory=512 * 2 ** 20, timeout=20):
+    """Run command in a child whose address space is capped at memory bytes,
+    so code that would take memory without bound fails in the child with a
+    MemoryError: a string is a snippet for `python -c`, a list an argv run as
+    given.  Waits at most timeout seconds (subprocess.TimeoutExpired after
+    that) and returns the finished process, its output as text."""
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
 
-    return subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True,
+    argv = [sys.executable, "-c", command] if isinstance(command, str) else command
+    return subprocess.run(argv, capture_output=True, text=True,
                           timeout=timeout, preexec_fn=limit_memory,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
 

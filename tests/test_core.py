@@ -2,7 +2,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import vector_oracles as vo
 from citemetrics import (CitationRecord, DomainError, IndexConfig, Publication,
@@ -10,6 +10,7 @@ from citemetrics import (CitationRecord, DomainError, IndexConfig, Publication,
                          g_index, h2_index, h_alpha_predict, h_core_cv,
                          h_core_sum, h_index, hw_index, maxprod, r_index,
                          rm_index, rmcv_index, t_index, w_index)
+from citemetrics.core import _score_h, _threshold_rank
 from golden_values import CLASSIFIED_PRINTED, EQUAL_H_PRINTED, NEW_INDEX_PRINTED
 
 counts_lists = st.lists(st.integers(min_value=0, max_value=200), max_size=40)
@@ -240,7 +241,17 @@ def _h_alpha(v, alpha):
         return None
 
 
+# Hand-picked vectors: empty, all zero, every rank passing g (so unbounded g
+# is the isqrt of the total), and exact ties at the h, g and h_w thresholds.
 @given(counts_lists, crossing_counts, st.sampled_from([-0.1, -1.0, 0.5]))
+@example([], [], -0.1)
+@example([0] * 6, [], -0.1)
+@example([200] * 5, [], -0.1)
+@example([1], [], -0.1)
+@example([3, 3, 3], [], -0.1)
+@example([5, 3, 1], [], -0.1)
+@example([2, 2], [], -0.1)
+@example([9, 3, 3, 1, 0], [], -0.1)
 def test_matches_definitional_oracles(counts, crossing, alpha):
     # each index on the plain list and on the record's prepared citation
     # vector, which it reads as it is
@@ -252,6 +263,51 @@ def test_matches_definitional_oracles(counts, crossing, alpha):
     vector = citation_vector(_counts_record(crossing))
     for index, oracle in ((f_index, vo.oracle_f), (t_index, vo.oracle_t)):
         assert index(crossing) == index(vector) == oracle(crossing)
+
+
+def _first_failure_rank(counts, threshold):
+    """The rank before the first whose count misses threshold(rank), trying
+    each rank in order."""
+    rank = 0
+    while rank < len(counts) and counts[rank] >= threshold(rank + 1):
+        rank += 1
+    return rank
+
+
+_THRESHOLDS = {"rank": lambda rank: rank, "rank**2": lambda rank: rank * rank,
+               "10*rank": lambda rank: 10 * rank}
+
+
+def _tied(k, threshold, tail):
+    """k counts tied exactly at the k-th rank's threshold, then the tail's
+    counts below it."""
+    tie = _THRESHOLDS[threshold](k)
+    return [tie] * k + [c for c in tail if c < tie]
+
+
+# Descending vectors: empty or all zero, counts up to 2**63 - 1, or a tie.
+_DESCENDING = st.one_of(
+    st.lists(st.just(0), max_size=8),
+    st.lists(st.integers(min_value=0, max_value=2 ** 63 - 1), max_size=40),
+    st.builds(_tied, st.integers(min_value=0, max_value=12),
+              st.sampled_from(sorted(_THRESHOLDS)), counts_lists),
+).map(lambda counts: sorted(counts, reverse=True))
+
+
+@pytest.mark.parametrize("threshold", sorted(_THRESHOLDS))
+@given(_DESCENDING)
+@example([])
+def test_threshold_rank_matches_a_first_failure_scan(threshold, counts):
+    threshold = _THRESHOLDS[threshold]
+    assert _threshold_rank(counts, threshold) == _first_failure_rank(counts, threshold)
+
+
+@given(st.lists(st.floats(min_value=-50, max_value=50)
+                | st.sampled_from([math.inf, -math.inf, 0.0, 1.0, 3.0]), max_size=30))
+@example([math.inf] * 3 + [-math.inf] * 2)
+@example([-math.inf])
+def test_score_h_matches_oracle(scores):
+    assert _score_h(scores) == vo.oracle_score_h(scores)
 
 
 @given(positive_counts)

@@ -16,6 +16,7 @@ record_to_dict and record_from_dict."""
 import dataclasses
 import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from citemetrics.aggregate import (SimConfig, burrell_simulate, dynamic_h, glanz
 from citemetrics.records import G_CONVENTIONS, SELF_CITATION_MODES
 from citemetrics.report import render_json
 from citemetrics.temporal import h_sequence
+from conftest import run_bounded
 from datagen import AUTHOR_NAMES
 
 # Ordinary small counts, next to every kind of value a plain count must not be.
@@ -50,15 +52,16 @@ _SHARES = st.none() | st.lists(_NUMBER | st.floats(min_value=0.01, max_value=1.0
                                max_size=8)
 
 
+# Pareto exponents no float or tail can take, or whose exact powers would
+# take memory without bound; each is also tried with every sample size in
+# test_glanzel_on_every_named_pareto_exponent.
+_NAMED_EXPONENTS = [-1, 0, True, math.nan, math.inf, 10 ** 400, 1e300, 2 ** 1000]
 # A tail to build: from a sample of counts, or discrete Pareto with an
-# exponent (ordinary, one no float or tail can take, or one whose exact
-# powers would take memory without bound).
+# ordinary or a named exponent.
 _TAILS = st.one_of(
     st.tuples(st.just(TailFunction.from_sample), _COUNTS),
     st.tuples(st.just(TailFunction.discrete_pareto),
-              st.integers(1, 6) | st.floats(0.1, 6.0)
-              | st.sampled_from([-1, 0, True, math.nan, math.inf, 10 ** 400,
-                                 1e300, 2 ** 1000])))
+              st.integers(1, 6) | st.floats(0.1, 6.0) | st.sampled_from(_NAMED_EXPONENTS)))
 
 
 def _simulated(config):
@@ -156,6 +159,23 @@ def test_a_call_ends_in_a_finite_value_or_a_documented_error(name, data):
         return
     results = result if isinstance(result, list) else [result]
     assert all(map(_finite_result, results)), (name, args, result)
+
+
+def test_glanzel_on_every_named_pareto_exponent():
+    # The calls run in a child whose memory is capped, since an exponent
+    # whose exact powers were built would take memory without bound.
+    child = run_bounded(textwrap.dedent(f"""
+        from math import inf, nan
+        from citemetrics import CitemetricsError, TailFunction, glanzel_H
+        for exponent in {_NAMED_EXPONENTS!r}:
+            for n in (1, 10, 2 ** 63 - 1):
+                try:
+                    value = glanzel_H(TailFunction.discrete_pareto(exponent), n)
+                except (ValueError, CitemetricsError):
+                    continue
+                assert type(value) is int, (exponent, n, value)
+        """))
+    assert (child.returncode, child.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("index", [core.h_index, core.g_index])
