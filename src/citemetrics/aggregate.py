@@ -5,8 +5,9 @@ time-dependent form, and the extreme-value H over a survival function) and a
 seeded stochastic career simulator (Poisson publication counts with
 gamma-mixed per-paper citation rates).  Simulation output is deterministic
 for a given seed; the generator is numpy's default PCG64, with one spawned
-child stream per career so careers stay independent.  numpy is imported
-only when a simulation runs, so the other commands start without it.
+child stream per career so careers stay independent, and each career is
+drawn only when it is read.  numpy is imported only when a simulation runs,
+so the other commands start without it.
 """
 
 from __future__ import annotations
@@ -161,9 +162,9 @@ def glanzel_H(tail, n):
 
 
 # Largest expected ensemble, in career-years plus publications plus citation
-# events (SimConfig.expected_size), that a simulation may draw.  Each drawn
-# item is a Python object, so this bounds time and memory; the default
-# config draws about 140,000.
+# events (SimConfig.expected_size), that a simulation may draw.  Careers are
+# drawn one at a time, so this bounds time, and memory only through the
+# largest single career; the default config draws about 140,000.
 MAX_SIMULATION_SIZE = 5_000_000
 
 
@@ -238,15 +239,14 @@ class CareerSummary:
 
 
 def burrell_simulate(config):
-    """Run the career ensemble; returns (records, summaries), both ordered by
-    career index and reproducible field for field from the seed."""
+    """Yield one (record, summary) pair per career, in career order and
+    reproducible field for field from the seed, each drawn as it is read."""
     import numpy as np
 
     root = np.random.SeedSequence(config.seed)
-    records = []
-    summaries = []
-    for career_id, child in enumerate(root.spawn(config.careers)):
-        rng = np.random.default_rng(child)
+    for career_id in range(config.careers):
+        # spawn(1) in turn gives the same streams as spawn(config.careers)
+        rng = np.random.default_rng(root.spawn(1)[0])
         length = int(rng.integers(1, config.career_years + 1))
         pubs = []
         serial = 0
@@ -266,8 +266,6 @@ def burrell_simulate(config):
                                 publications=tuple(pubs))
         vector = citation_vector(record)
         n_p, n_c = totals(record)
-        summaries.append(CareerSummary(
+        yield record, CareerSummary(
             career_id=career_id, years=length, n_p=n_p, n_c=n_c,
-            h=h_index(vector), a=a_index(vector), core_size=h_core_sum(vector)))
-        records.append(record)
-    return records, summaries
+            h=h_index(vector), a=a_index(vector), core_size=h_core_sum(vector))

@@ -249,8 +249,8 @@ def cmd_group(parser, args):
 
 def cmd_simulate(parser, args):
     from .aggregate import CareerSummary, SimConfig, burrell_simulate
-    _, summaries = burrell_simulate(SimConfig(**_settings(SimConfig, args)))
-    careers = [dataclasses.asdict(s) for s in summaries]
+    careers = [dataclasses.asdict(summary) for _, summary
+               in burrell_simulate(SimConfig(**_settings(SimConfig, args)))]
     header = [f.name for f in dataclasses.fields(CareerSummary)]
     rows = [header] + [list(c.values()) for c in careers]
     table = [header] + [[report_mod.format_value(k, v) for k, v in c.items()]

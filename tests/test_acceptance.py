@@ -175,7 +175,7 @@ def test_criterion_theory_layer():
     if mismatches:
         problems.append(f"{mismatches} extreme-value/empirical-h mismatches")
 
-    _, summaries = burrell_simulate(SimConfig(seed=20_08, careers=200))
+    summaries = [s for _, s in burrell_simulate(SimConfig(seed=20_08, careers=200))]
     hs = [s.h for s in summaries]
     slope_a = datagen.ols_slope(hs, [s.a for s in summaries])
     slope_core = datagen.ols_slope([s.h ** 2 for s in summaries],

@@ -225,16 +225,13 @@ def test_glanzel_tail_that_never_decays_gives_n():
 
 def test_simulation_is_deterministic():
     config = SimConfig(seed=42, careers=20, career_years=12)
-    records_a, summaries_a = burrell_simulate(config)
-    records_b, summaries_b = burrell_simulate(config)
-    assert records_a == records_b
-    assert summaries_a == summaries_b
+    runs = [list(burrell_simulate(config)) for _ in range(2)]
+    assert len(runs[0]) == 20 and runs[0] == runs[1]
 
 
 def test_simulation_expected_size_matches_draws():
     config = SimConfig(seed=1, careers=400, career_years=12)
-    records, summaries = burrell_simulate(config)
-    drawn = sum(s.years + s.n_p + s.n_c for s in summaries)
+    drawn = sum(s.years + s.n_p + s.n_c for _, s in burrell_simulate(config))
     assert drawn == pytest.approx(config.expected_size(), rel=0.1)
 
 
@@ -307,13 +304,11 @@ def test_negative_seed_is_rejected_before_drawing(capsys):
 
 def test_simulation_zero_rate_scale_kills_citations():
     config = SimConfig(seed=3, careers=15, career_years=10, citation_rate_scale=0.0)
-    _, summaries = burrell_simulate(config)
-    assert all(s.h == 0 and s.n_c == 0 for s in summaries)
+    assert all(s.h == 0 and s.n_c == 0 for _, s in burrell_simulate(config))
 
 
 def test_simulation_summary_consistency():
-    _, summaries = burrell_simulate(SimConfig(seed=9, careers=30, career_years=15))
-    for s in summaries:
+    for _, s in burrell_simulate(SimConfig(seed=9, careers=30, career_years=15)):
         assert 1 <= s.years <= 15
         assert s.h <= s.n_p
         assert s.core_size <= s.n_c
@@ -322,10 +317,29 @@ def test_simulation_summary_consistency():
 
 
 def test_simulation_records_are_event_level():
-    records, summaries = burrell_simulate(SimConfig(seed=5, careers=5, career_years=8))
-    for record, summary in zip(records, summaries):
+    for record, summary in burrell_simulate(SimConfig(seed=5, careers=5, career_years=8)):
         assert all(p.has_events for p in record.publications)
         assert h_index(citation_vector(record)) == summary.h
+
+
+def test_simulation_memory_does_not_grow_with_the_ensemble():
+    # Careers are drawn as they are read, so an ensemble read and dropped
+    # one career at a time peaks at about one career (~0.15 MiB here),
+    # whatever its size; kept, these 4,000 careers take ~4 MiB.
+    # The child imports numpy and draws once before tracing, so that
+    # neither numpy's import nor its first-call caches are counted.
+    child = run_bounded(textwrap.dedent("""
+        import tracemalloc
+        from citemetrics import SimConfig, burrell_simulate
+        list(burrell_simulate(SimConfig(careers=1)))
+        tracemalloc.start()
+        for _ in burrell_simulate(SimConfig(seed=1, careers=4000, career_years=2,
+                                            pub_rate=1.0)):
+            pass
+        print(tracemalloc.get_traced_memory()[1])
+        """))
+    assert (child.returncode, child.stderr) == (0, "")
+    assert int(child.stdout) < 2 ** 19, int(child.stdout)
 
 
 def test_lotkaian_groups_order_group_indices():

@@ -96,16 +96,19 @@ _HUGE = str(10 ** 400)
 _JOURNAL = ["journal", f"--articles={_HUGE}", f"--citations={_HUGE}", f"--h={_HUGE}"]
 _FIELD = ["field", f"--h={_HUGE}", f"--np={_HUGE}", f"--nc={_HUGE}"]
 
-# (builder of the argv from a directory, exit codes, wall bound in seconds).
-# On a 2-vCPU host each shape takes 0.1-0.2 s, but the pooled compare 0.4 s
-# and simulate 3 s.
+# (builder of the argv from a directory, exit codes, wall bound in seconds,
+# and optionally a memory cap in place of _run_cli's).  On a 2-vCPU host each
+# shape takes 0.1-0.2 s, but the pooled compare 0.4 s and simulate 3 s.
+# simulate holds one career at a time, so its largest ensemble runs under
+# half the usual cap, most of which numpy's own import takes: it fails under
+# 128 MiB.
 _SHAPES = {
     "nested_brackets": (_nested_brackets, {3}, 2),
     "whitespace": (_whitespace, {3}, 2),
     "long_csv_field": (_long_csv_field, {3}, 2),
     "sequence_span": (_sequence_span, {0}, 2),
     "matrix_span": (_matrix_span, {0}, 2),
-    "simulate_7000": (lambda _: ["simulate", "--careers", "7000"], {0}, 12),
+    "simulate_7000": (lambda _: ["simulate", "--careers", "7000"], {0}, 12, 256 * _MiB),
     "pooled_compare": (_pooled_compare, {0}, 5),
     "journal_huge": (lambda _: _JOURNAL, {0, 3, 4}, 2),
     "journal_beta_nan": (lambda _: [*_JOURNAL, "--beta=nan", "--format=json"],
@@ -122,8 +125,8 @@ _SHAPES = {
 
 @pytest.mark.parametrize("shape", sorted(_SHAPES))
 def test_a_shape_ends_cleanly_within_its_bound(shape, tmp_path):
-    build, codes, wall = _SHAPES[shape]
-    _run_cli(build(tmp_path), codes, wall)
+    build, codes, wall, *memory = _SHAPES[shape]
+    _run_cli(build(tmp_path), codes, wall, *memory)
 
 
 def test_running_out_of_memory_is_exit_3_with_one_line(tmp_path):
@@ -141,6 +144,7 @@ def test_running_out_of_memory_is_exit_3_with_one_line(tmp_path):
 
 
 _GROWTH = """
+import collections
 import time
 from citemetrics import (CitationRecord, Publication, SimConfig, burrell_simulate,
                          h_sequence)
@@ -150,6 +154,11 @@ def span(last_year):
     return CitationRecord(entity="W", publications=(
         Publication(id="a", year=1, citation_count=3),
         Publication(id="b", year=last_year, citation_count=2)))
+
+
+# burrell_simulate draws a career only as it is read, so each is read here.
+def simulate(config):
+    collections.deque(burrell_simulate(config), maxlen=0)
 
 
 # For each argument, the least process time function(argument) takes in 3
@@ -170,7 +179,7 @@ def best_of_3(function, *arguments):
 
 @pytest.mark.parametrize("function, argument, n", [
     ("h_sequence", "span(n)", MAX_SEQUENCE_WINDOWS // 2),
-    ("burrell_simulate", "SimConfig(careers=n)", 300),
+    ("simulate", "SimConfig(careers=n)", 600),
 ], ids=["window_span", "simulate_careers"])
 def test_time_grows_linearly(function, argument, n):
     child = run_bounded(f"{_GROWTH}\nprint(*best_of_3({function}, "

@@ -69,7 +69,7 @@ def _simulated(config):
     small enough to draw in a test; none otherwise."""
     if config.expected_size() > 2_000:
         return []
-    return [value for summary in burrell_simulate(config)[1]
+    return [value for _, summary in burrell_simulate(config)
             for value in dataclasses.astuple(summary)]
 
 

@@ -966,7 +966,7 @@ def test_required_arguments_alone_give_the_default_index_config(argv):
 def test_simulate_alone_gives_the_default_sim_config(capsys, monkeypatch):
     configs = []
     monkeypatch.setattr(aggregate, "burrell_simulate",
-                        lambda config: configs.append(config) or ([], []))
+                        lambda config: configs.append(config) or [])
     assert main(["simulate"]) == 0
     assert configs == [SimConfig()]
 
